@@ -30,8 +30,16 @@ from .experiment import (emit_csv, emit_svg, format_sci, preflight_reports,
                          run_experiment, trial_seeds)
 from .noise import RandomStream, derive_ez_block
 from .objective import make_problem
-from .topology import (build_arc_matrices, gen_connected_graph,
-                       spectral_summary, write_edge_list)
+from .topology import (GraphConnectivityError, build_arc_matrices,
+                       gen_connected_graph, spectral_summary, write_edge_list)
+
+
+def _env_jobs() -> int:
+    text = os.environ.get("NCADMM_JOBS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"NCADMM_JOBS must be an integer, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--full", action="store_true",
                            help="use the large profile (200 nodes, 100 trials)")
             p.add_argument("--jobs", type=int,
-                           default=int(os.environ.get("NCADMM_JOBS", "1")),
+                           default=_env_jobs(),
                            help="concurrent trials (env NCADMM_JOBS as fallback)")
             p.add_argument("--csv", help="override output.csv_path")
             p.add_argument("--svg", help="override output.svg_path")
@@ -224,11 +232,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, OSError) as err:
+    except (ConfigError, ValueError, OSError, GraphConnectivityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

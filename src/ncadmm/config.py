@@ -10,6 +10,7 @@ substreams, so results are independent of how the sweep is executed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -116,6 +117,12 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        for name, values in (("admm.c", self.admm.c),
+                             ("noise.sigma_e", self.noise.sigma_e),
+                             ("noise.delta", (self.noise.delta,)),
+                             ("problem.obs_noise_var", (self.problem.obs_noise_var,))):
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} must be finite")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.graph.n_nodes < 2:

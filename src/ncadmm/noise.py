@@ -19,7 +19,10 @@ lanes keep the scheme fully vectorizable without changing any draw.
 Error vectors are keyed by (seed, trial, cell, node, iteration), so the two
 solver engines and both noise-placement modes replay the identical error
 realization, and Monte Carlo trials can run concurrently without shared
-state.
+state.  Because every lane is a pure function of its key, a draw over many
+iterations at once (an iteration array in :func:`lane_states` and
+:func:`sample_error_block`) holds exactly the values of the per-iteration
+draws; the engines use that to draw state-independent error in chunks.
 """
 
 from __future__ import annotations
@@ -153,20 +156,24 @@ class RandomStream:
                                     self.node, self.iteration))
 
 
-def lane_states(stream: RandomStream, nodes: np.ndarray, iteration: int) -> np.ndarray:
-    """Per-node substream states, vectorized over the node coordinate.
+def lane_states(stream: RandomStream, nodes: np.ndarray,
+                iteration: int | np.ndarray) -> np.ndarray:
+    """Per-node substream states, vectorized over node and iteration.
 
-    Entry i equals ``fold_key(seed, (noise-domain, trial, cell, nodes[i],
-    iteration))``; the node fold step runs on uint64 arrays, everything else
-    on exact Python integers.
+    For an integer ``iteration`` the result has shape (N,) and entry i equals
+    ``fold_key(seed, (noise-domain, trial, cell, nodes[i], iteration))``.
+    For a 1-D array of K iterations it has shape (K, N), and row k equals
+    the call at ``iteration[k]``.  The node and iteration fold steps run on
+    uint64 arrays, everything else on exact Python integers.
     """
     h = _mix((int(stream.seed) + _GOLDEN) & _MASK)
     for pos, c in enumerate((_NOISE_DOMAIN, stream.trial, stream.cell)):
         h = _mix(h ^ _mix(((pos + 1) * _GOLDEN + int(c)) & _MASK))
     node_term = np.uint64((4 * _GOLDEN) & _MASK) + np.asarray(nodes, dtype=np.uint64)
     h_arr = _mix_u64(np.uint64(h) ^ _mix_u64(node_term))
-    iter_mixed = np.uint64(_mix((5 * _GOLDEN + int(iteration)) & _MASK))
-    return _mix_u64(h_arr ^ iter_mixed)
+    iters = np.asarray(iteration, dtype=np.uint64)
+    iter_mixed = _mix_u64(np.uint64((5 * _GOLDEN) & _MASK) + iters.reshape(-1))
+    return _mix_u64(h_arr ^ iter_mixed[:, None]).reshape(iters.shape + h_arr.shape)
 
 
 @dataclass(frozen=True)
@@ -223,36 +230,40 @@ def sample_error_block(
     model: NoiseModel,
     x_nodes: np.ndarray,
     stream: RandomStream,
-    iteration: int,
+    iteration: int | np.ndarray,
     nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Error vectors for all rows of ``x_nodes`` (shape (N, n)) at once.
 
     Row i uses the substream (seed, trial, cell, nodes[i], iteration), so the
-    block is exactly the stack of per-node :func:`sample_error` draws.
+    block is exactly the stack of per-node :func:`sample_error` draws.  With
+    a 1-D array of K iterations the result has shape (K, N, n), and slice k
+    equals the call at ``iteration[k]``; the quantizer does not depend on
+    the iteration, so its slices repeat.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     n_rows, dim = x_nodes.shape
+    shape = np.shape(iteration) + x_nodes.shape
     if model.kind == "none":
-        return np.zeros_like(x_nodes)
+        return np.zeros(shape)
     if model.kind == "quantizer":
         if model.delta == 0.0:
-            return np.zeros_like(x_nodes)
+            return np.zeros(shape)
         t = x_nodes / model.delta
         quantized = model.delta * (np.sign(t) * np.floor(np.abs(t) + 0.5))
-        return quantized - x_nodes
+        return np.broadcast_to(quantized - x_nodes, shape).copy()
 
     if nodes is None:
         nodes = np.arange(n_rows)
-    normals = polar_normals(lane_states(stream, nodes, iteration), dim)
+    normals = polar_normals(lane_states(stream, nodes, iteration).reshape(-1), dim)
     if model.kind == "gaussian":
-        return model.sigma_e * normals
+        return (model.sigma_e * normals).reshape(shape)
     # fixed_norm: normalize each row to sigma_e exactly
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     # an all-zero draw has probability zero; fall back to a fixed direction
     safe = np.where(norms > 0.0, norms, 1.0)
     directions = np.where(norms > 0.0, normals / safe, _unit_first_axis(dim))
-    return model.sigma_e * directions
+    return (model.sigma_e * directions).reshape(shape)
 
 
 def _unit_first_axis(dim: int) -> np.ndarray:

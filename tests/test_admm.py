@@ -5,7 +5,7 @@ from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, gnorm_distance,
                          gnorm_series, reference_point, run_decentralized,
                          run_matrix_form, x_err_series)
 from ncadmm.analysis import edc_metric
-from ncadmm.noise import NoiseModel, RandomStream
+from ncadmm.noise import NoiseModel, RandomStream, sample_error_block
 from ncadmm.objective import ObjectiveSet, QuadraticLocal, make_problem
 from ncadmm.topology import Graph, build_arc_matrices, gen_connected_graph
 
@@ -139,6 +139,93 @@ class TestEngineEquivalence:
         a = run_decentralized(g, obj, 0.5, m, BROADCAST, 30, RandomStream(seed=6))
         b = run_decentralized(g, obj, 0.5, m, BROADCAST, 30, RandomStream(seed=6))
         assert np.array_equal(a.xs, b.xs)
+
+
+def per_iteration_decentralized(g, obj, c, model, mode, max_iter, stream):
+    """The per-node protocol drawing its error one iteration at a time."""
+    degrees = g.degrees.astype(float)[:, None]
+    flat_nbrs = np.concatenate([np.array(nb, dtype=np.intp) for nb in g.neighbors])
+    offsets = np.concatenate([[0], np.cumsum(g.degrees[:-1])]).astype(np.intp)
+    inv_ops = np.linalg.inv(np.stack([loc.gram + (2.0 * c * d) * np.eye(obj.dim)
+                                      for loc, d in zip(obj.locals, g.degrees)]))
+    rhs_const = np.stack([loc.rhs for loc in obj.locals])
+    x = np.zeros((g.n_nodes, obj.dim))
+    alpha = np.zeros_like(x)
+    xs, e_xs = [x], []
+
+    def nbr_sum(values):
+        return np.add.reduceat(values[flat_nbrs], offsets, axis=0)
+
+    for k in range(max_iter):
+        e_k = sample_error_block(model, x, stream, k)
+        x_hat = x + e_k
+        own = x_hat if mode == ANALYSIS_FAITHFUL else x
+        rhs = rhs_const - alpha + c * (degrees * own + nbr_sum(x_hat))
+        x_new = np.einsum("nij,nj->ni", inv_ops, rhs)
+        if mode == ANALYSIS_FAITHFUL:
+            reported = x_new
+        else:
+            reported = x_new + sample_error_block(model, x_new, stream, k + 1)
+        alpha = alpha + c * (degrees * x_new - nbr_sum(reported))
+        x = x_new
+        xs.append(x)
+        e_xs.append(e_k)
+    return np.stack(xs), np.stack(e_xs)
+
+
+def per_iteration_matrix_form(g, obj, c, model, max_iter, stream):
+    """The stacked arc-matrix recursion drawing its error one iteration at a time."""
+    am = build_arc_matrices(g)
+    inv_ops = np.linalg.inv(np.stack([loc.gram + (2.0 * c * d) * np.eye(obj.dim)
+                                      for loc, d in zip(obj.locals, g.degrees)]))
+    rhs_const = np.stack([loc.rhs for loc in obj.locals])
+    x = np.zeros((g.n_nodes, obj.dim))
+    beta = np.zeros((g.n_arcs, obj.dim))
+    xs, e_xs = [x], []
+    for k in range(max_iter):
+        e_k = sample_error_block(model, x, stream, k)
+        z_hat = 0.5 * am.apply_mplus_t(x + e_k)
+        rhs = rhs_const - am.apply_mminus(beta) + c * am.apply_mplus(z_hat)
+        x = np.einsum("nij,nj->ni", inv_ops, rhs)
+        beta = beta + (0.5 * c) * am.apply_mminus_t(x)
+        xs.append(x)
+        e_xs.append(e_k)
+    return np.stack(xs), np.stack(e_xs)
+
+
+class TestChunkedDraws:
+    """Chunked error draws replay the per-iteration loop bit for bit.
+
+    At N=200 a chunk is 40 iterations, so 100 iterations cross two chunk
+    boundaries (and broadcast's extra final draw starts a third chunk).
+    """
+
+    MODELS = [NoiseModel.gaussian(1e-2), NoiseModel.fixed_norm(1e-2)]
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        g = gen_connected_graph(200, 0.05, seed=21)
+        obj, _ = make_problem(200, 3, 1e-3, "well_conditioned", seed=22)
+        return g, obj
+
+    @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_decentralized_matches_per_iteration_loop(self, instance, model, mode):
+        g, obj = instance
+        stream = RandomStream(seed=15, trial=1, cell=2)
+        traj = run_decentralized(g, obj, 0.3, model, mode, 100, stream)
+        xs, e_xs = per_iteration_decentralized(g, obj, 0.3, model, mode, 100, stream)
+        assert np.array_equal(traj.xs, xs)
+        assert np.array_equal(traj.e_xs, e_xs)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_matrix_form_matches_per_iteration_loop(self, instance, model):
+        g, obj = instance
+        stream = RandomStream(seed=16, trial=1, cell=2)
+        traj = run_matrix_form(g, obj, 0.3, model, 100, stream)
+        xs, e_xs = per_iteration_matrix_form(g, obj, 0.3, model, 100, stream)
+        assert np.array_equal(traj.xs, xs)
+        assert np.array_equal(traj.e_xs, e_xs)
 
 
 class TestConvergence:

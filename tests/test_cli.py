@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ncadmm.cli import main
+from ncadmm.cli import _build_parser, main
 from ncadmm.topology import read_edge_list
 
 
@@ -38,6 +38,30 @@ class TestGenGraph:
                    "--seed", "1", "--out", str(tmp_path / "x")])
         assert rc != 0
         assert "error:" in capsys.readouterr().err
+
+
+    def test_disconnected_samples_fail_without_traceback(self, tmp_path, capsys):
+        # N-1 edges must form a spanning tree, which no sample does here
+        out = tmp_path / "x"
+        rc = main(["gen-graph", "--nodes", "40", "--rho", "0.05",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no connected graph")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestJobsEnvironment:
+    def test_invalid_value_is_one_line_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("NCADMM_JOBS", "x")
+        assert main(["gen-graph", "--help"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: NCADMM_JOBS must be an integer, got 'x'\n"
+
+    def test_value_sets_default_jobs(self, monkeypatch):
+        monkeypatch.setenv("NCADMM_JOBS", "3")
+        assert _build_parser().parse_args(["experiment"]).jobs == 3
 
 
 class TestTheory:

@@ -79,6 +79,21 @@ class TestValidation:
             load_config(write(tmp_path, {"admm": {"c": [0.0]}}))
 
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"admm": {"c": [float("inf")]}}, "admm.c"),
+        ({"admm": {"c": [0.1, float("nan")]}}, "admm.c"),
+        ({"noise": {"sigma_e": [float("nan")]}}, "noise.sigma_e"),
+        ({"noise": {"sigma_e": [float("inf")]}}, "noise.sigma_e"),
+        ({"noise": {"delta": float("inf")}}, "noise.delta"),
+        ({"noise": {"delta": float("nan")}}, "noise.delta"),
+        ({"problem": {"obs_noise_var": float("inf")}}, "problem.obs_noise_var"),
+        ({"problem": {"obs_noise_var": float("nan")}}, "problem.obs_noise_var"),
+    ])
+    def test_rejects_non_finite_values(self, tmp_path, doc, field):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            load_config(write(tmp_path, doc))
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self, tmp_path):
         cfg = default_config()

@@ -29,6 +29,12 @@ class TestKeyedRng:
         vec = lane_states(s, nodes, iteration=17)
         ref = [fold_key(42, (_NOISE_DOMAIN, 3, 2, int(v), 17)) for v in nodes]
         assert vec.tolist() == ref
+        iterations = np.array([0, 17, 2 ** 40, 2 ** 64 - 1], dtype=np.uint64)
+        grid = lane_states(s, nodes, iterations)
+        assert grid.shape == (4, 40)
+        for row, it in zip(grid, iterations):
+            assert row.tolist() == [fold_key(42, (_NOISE_DOMAIN, 3, 2, int(v), int(it)))
+                                    for v in nodes]
 
     def test_uniforms_in_unit_interval(self):
         u = keyed_uniforms(7, (1, 2), 10_000)
@@ -112,6 +118,15 @@ class TestDeterminism:
             blk = sample_error_block(m, x, stream(trial=2, cell=1), 6)
             rows = [sample_error(m, x[i], stream(trial=2, cell=1, node=i, iteration=6))
                     for i in range(5)]
+            assert np.array_equal(blk, np.stack(rows)), m.kind
+
+    def test_iteration_range_equals_per_iteration_stack(self):
+        x = np.zeros((7, 3))
+        iterations = np.arange(5, 45)
+        for m in (NoiseModel.gaussian(0.3), NoiseModel.fixed_norm(0.2)):
+            blk = sample_error_block(m, x, stream(trial=1, cell=3), iterations)
+            rows = [sample_error_block(m, x, stream(trial=1, cell=3), int(k))
+                    for k in iterations]
             assert np.array_equal(blk, np.stack(rows)), m.kind
 
     def test_derive_seed_children_independent(self):
