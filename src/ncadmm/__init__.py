@@ -6,20 +6,17 @@ convergence (contraction factor, admissibility conditions, steady-state
 error bounds) against the measured trajectories.
 """
 
-from .admm import (ANALYSIS_FAITHFUL, BROADCAST, ReferencePoint, SolverState,
-                   Trajectory, gnorm_distance, gnorm_series, reference_point,
-                   run_decentralized, run_matrix_form, x_err_series)
+from .admm import (ANALYSIS_FAITHFUL, BROADCAST, ReferencePoint, Trajectory,
+                   gnorm_series, reference_point, run_decentralized,
+                   run_matrix_form, x_err_series)
 from .analysis import (ContractionAudit, SteadyStateResult, TheoryReport,
                        audit_contraction, edc_metric, optimize_delta,
                        steady_state_check, theory_constants)
 from .config import (ConfigError, ExperimentConfig, default_config,
                      full_config, load_config)
 from .experiment import SweepResult, emit_csv, emit_svg, run_experiment
-from .noise import (NoiseModel, RandomStream, derive_ez, derive_seed,
-                    sample_error)
-from .objective import (ObjectiveSet, QuadraticLocal, aggregate_constants,
-                        centralized_solution, local_gradient, make_problem,
-                        x_update)
+from .noise import NoiseModel, RandomStream, derive_seed
+from .objective import ObjectiveSet, QuadraticLocal, make_problem
 from .topology import (ArcMatrices, Graph, GraphConnectivityError,
                        SpectralSummary, build_arc_matrices,
                        check_laplacian_bound, gen_connected_graph,

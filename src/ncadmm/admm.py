@@ -42,9 +42,14 @@ realization from the same stream.
 
 Gaussian and fixed-norm error does not depend on x, so the engines draw it
 for a chunk of iterations per :func:`sample_error_block` call (about 8192
-node-iterations); the values are identical to per-iteration draws.  In ``broadcast`` mode the message carrying iterate
-k+1 reuses the chunk row that the next x-update reads, so each message is
-drawn once.  Quantizer error depends on x and is drawn per iteration.
+node-iterations); the values are identical to per-iteration draws.
+Quantizer error depends on x and is drawn per iteration.  Each message is
+drawn once: in ``broadcast`` mode the error on the message carrying
+iterate k+1 is carried forward to the next x-update.
+
+A :class:`Trajectory` holds only engine state (iterates, per-node duals,
+error blocks and the initial arc dual); the arc variables z and beta are
+derived from the iterates on request.
 """
 
 from __future__ import annotations
@@ -82,25 +87,21 @@ class ReferencePoint:
     x_central: np.ndarray  # (n,)
 
 
-@dataclass(frozen=True, eq=False)
-class SolverState:
-    """One iteration's view of the joint solver variables."""
-
-    k: int
-    x: np.ndarray
-    alpha: np.ndarray
-    z: np.ndarray
-    beta: np.ndarray
-    last_broadcast: np.ndarray | None = None
-
-
 @dataclass(eq=False)
 class Trajectory:
-    """Per-iteration record of a run; index 0 is the initial state.
+    """Record of a run; index 0 of every per-iteration array is the start.
 
-    ``e_xs[k]`` is the error block added to the messages carrying iterate k.
-    ``zs``/``betas``/``alphas`` may be None for metric-only runs (record
-    "light"); analysis functions require a full record.
+    Only engine state is stored.  ``e_xs[k]`` is the error block added to
+    the messages carrying iterate k; ``alphas`` is the per-node dual the
+    engine carried.  The arc variables are pure functions of ``xs`` and the
+    initial arc dual ``beta0``:
+
+        zs[k]    = 0.5 * Mplus.T xs[k]
+        betas[k] = beta0 + (c/2) * sum_{j=1..k} Mminus.T xs[j]
+
+    ``alphas``/``e_xs``/``beta0`` are None for metric-only runs (record
+    "light"), and so are ``zs``/``betas``; analysis functions require a
+    full record.
     """
 
     graph: Graph
@@ -110,8 +111,7 @@ class Trajectory:
     xs: np.ndarray                 # (K+1, N, n)
     alphas: np.ndarray | None      # (K+1, N, n)
     e_xs: np.ndarray | None        # (K, N, n)
-    zs: np.ndarray | None          # (K+1, 2E, n)
-    betas: np.ndarray | None       # (K+1, 2E, n)
+    beta0: np.ndarray | None       # (2E, n)
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -120,17 +120,23 @@ class Trajectory:
     def n_iter(self) -> int:
         return self.xs.shape[0] - 1
 
-    def state(self, k: int) -> SolverState:
-        if self.alphas is None or self.zs is None or self.betas is None:
-            raise ValueError("state() needs a full-record trajectory")
-        broadcast = None
-        if self.e_xs is not None and k < self.e_xs.shape[0]:
-            broadcast = self.xs[k] + self.e_xs[k]
-        return SolverState(k=k, x=self.xs[k], alpha=self.alphas[k],
-                           z=self.zs[k], beta=self.betas[k], last_broadcast=broadcast)
+    @property
+    def zs(self) -> np.ndarray | None:
+        """Arc averages of the iterates, (K+1, 2E, n)."""
+        if self.beta0 is None:
+            return None
+        return 0.5 * build_arc_matrices(self.graph).apply_mplus_t(self.xs)
+
+    @property
+    def betas(self) -> np.ndarray | None:
+        """Arc duals, (K+1, 2E, n), accumulated in iteration order."""
+        if self.beta0 is None:
+            return None
+        steps = (0.5 * self.c) * build_arc_matrices(self.graph).apply_mminus_t(self.xs[1:])
+        return np.cumsum(np.concatenate([self.beta0[None], steps]), axis=0)
 
     def require_full(self) -> None:
-        if self.alphas is None or self.zs is None or self.betas is None or self.e_xs is None:
+        if self.alphas is None or self.e_xs is None or self.beta0 is None:
             raise ValueError("this operation needs a trajectory recorded with record='full'")
 
 
@@ -154,15 +160,6 @@ def reference_point(g: Graph, obj: ObjectiveSet) -> ReferencePoint:
         raise ValueError(f"stationarity residual {residual:.3e} exceeds tolerance")
     return ReferencePoint(x_star=x_star, z_star=z_star, beta_star=beta_star,
                           x_central=x_central)
-
-
-def gnorm_distance(state: SolverState, ref: ReferencePoint, c: float) -> float:
-    """Weighted primal-dual error c*||z - z*||^2 + (1/c)*||beta - beta*||^2."""
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    dz = state.z - ref.z_star
-    db = state.beta - ref.beta_star
-    return c * float(np.sum(dz * dz)) + float(np.sum(db * db)) / c
 
 
 def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
@@ -245,7 +242,8 @@ def run_decentralized(
 
     Starts from x = alpha = 0 unless overridden.  ``record="light"`` keeps
     only the x history (used by the Monte Carlo sweep); "full" additionally
-    stores duals, arc variables, and the injected error blocks.
+    stores the per-node duals, the injected error blocks and the initial
+    arc dual, from which the trajectory derives its arc variables.
     """
     _check_run_args(g, obj, c, max_iter)
     if mode not in PLACEMENT_MODES:
@@ -259,45 +257,38 @@ def run_decentralized(
     rhs_const = np.stack([loc.rhs for loc in obj.locals])
 
     full = record == "full"
-    am = build_arc_matrices(g) if full else None
-
     x = np.zeros((n_nodes, dim)) if x0 is None else np.array(x0, dtype=float)
     alpha = np.zeros((n_nodes, dim)) if alpha0 is None else np.array(alpha0, dtype=float)
 
     xs = np.empty((max_iter + 1, n_nodes, dim))
     xs[0] = x
-    alphas = e_xs = zs = betas = None
+    alphas = e_xs = beta0 = None
     if full:
         alphas = np.empty_like(xs)
         alphas[0] = alpha
         e_xs = np.empty((max_iter, n_nodes, dim))
-        zs = np.empty((max_iter + 1, g.n_arcs, dim))
-        betas = np.empty_like(zs)
-        zs[0] = 0.5 * am.apply_mplus_t(x)
         if alpha0 is None:
-            beta = np.zeros((g.n_arcs, dim))
+            beta0 = np.zeros((g.n_arcs, dim))
         else:
-            # bookkeeping dual consistent with a nonzero start: alpha = Mminus beta
-            beta, *_ = np.linalg.lstsq(am.m_minus, alpha, rcond=None)
-        betas[0] = beta
+            # arc dual consistent with a nonzero start: alpha = Mminus beta
+            beta0, *_ = np.linalg.lstsq(build_arc_matrices(g).m_minus, alpha, rcond=None)
 
     def nbr_sum(values: np.ndarray) -> np.ndarray:
         return np.add.reduceat(values[flat_nbrs], offsets, axis=0)
 
-    # broadcast also perturbs the message carrying the final iterate
-    error = _error_source(model, stream, n_nodes,
-                          max_iter + 1 if mode == BROADCAST else max_iter)
+    # broadcast also perturbs the message carrying the final iterate; that
+    # message is drawn once and feeds the next x-update as well
+    n_draws = max_iter + 1 if mode == BROADCAST else max_iter
+    error = _error_source(model, stream, n_nodes, n_draws)
+    e_k = error(0, x)
     for k in range(max_iter):
-        e_k = error(k, x)
         x_hat = x + e_k
         own = x_hat if mode == ANALYSIS_FAITHFUL else x
         rhs = rhs_const - alpha + c * (degrees * own + nbr_sum(x_hat))
         x_new = np.einsum("nij,nj->ni", inv_ops, rhs)
+        e_next = error(k + 1, x_new) if k + 1 < n_draws else None
 
-        if mode == ANALYSIS_FAITHFUL:
-            reported = x_new
-        else:
-            reported = x_new + error(k + 1, x_new)
+        reported = x_new if mode == ANALYSIS_FAITHFUL else x_new + e_next
         alpha = alpha + c * (degrees * x_new - nbr_sum(reported))
         x = x_new
 
@@ -305,12 +296,10 @@ def run_decentralized(
         if full:
             alphas[k + 1] = alpha
             e_xs[k] = e_k
-            zs[k + 1] = 0.5 * am.apply_mplus_t(x)
-            beta = beta + (0.5 * c) * am.apply_mminus_t(x)
-            betas[k + 1] = beta
+        e_k = e_next
 
     return Trajectory(graph=g, c=c, mode=mode, model=model,
-                      xs=xs, alphas=alphas, e_xs=e_xs, zs=zs, betas=betas)
+                      xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta0)
 
 
 def run_matrix_form(
@@ -339,35 +328,32 @@ def run_matrix_form(
 
     x = np.zeros((n_nodes, dim)) if x0 is None else np.array(x0, dtype=float)
     beta = np.zeros((g.n_arcs, dim)) if beta0 is None else np.array(beta0, dtype=float)
+    beta_start = beta
+    alpha = am.apply_mminus(beta)
 
     full = record == "full"
     xs = np.empty((max_iter + 1, n_nodes, dim))
     xs[0] = x
-    alphas = e_xs = zs = betas = None
+    alphas = e_xs = None
     if full:
         alphas = np.empty_like(xs)
-        alphas[0] = am.apply_mminus(beta)
+        alphas[0] = alpha
         e_xs = np.empty((max_iter, n_nodes, dim))
-        zs = np.empty((max_iter + 1, g.n_arcs, dim))
-        betas = np.empty_like(zs)
-        zs[0] = 0.5 * am.apply_mplus_t(x)
-        betas[0] = beta
 
     error = _error_source(model, stream, n_nodes, max_iter)
     for k in range(max_iter):
         e_k = error(k, x)
         z_hat = 0.5 * am.apply_mplus_t(x + e_k)
-        alpha = am.apply_mminus(beta)
         rhs = rhs_const - alpha + c * am.apply_mplus(z_hat)
         x = np.einsum("nij,nj->ni", inv_ops, rhs)
         beta = beta + (0.5 * c) * am.apply_mminus_t(x)
+        alpha = am.apply_mminus(beta)
 
         xs[k + 1] = x
         if full:
-            alphas[k + 1] = am.apply_mminus(beta)
+            alphas[k + 1] = alpha
             e_xs[k] = e_k
-            zs[k + 1] = 0.5 * am.apply_mplus_t(x)
-            betas[k + 1] = beta
 
     return Trajectory(graph=g, c=c, mode=ANALYSIS_FAITHFUL, model=model,
-                      xs=xs, alphas=alphas, e_xs=e_xs, zs=zs, betas=betas)
+                      xs=xs, alphas=alphas, e_xs=e_xs,
+                      beta0=beta_start if full else None)

@@ -27,9 +27,10 @@ from .analysis import (audit_contraction, edc_metric, gnorm_series,
 from .config import (ConfigError, ExperimentConfig, default_config,
                      full_config, load_config)
 from .experiment import (emit_csv, emit_svg, format_sci, preflight_reports,
-                         run_experiment, trial_seeds)
+                         run_experiment, trial_instance)
 from .noise import RandomStream, derive_ez_block
-from .objective import make_problem
+# not called here; ncbench/tracing.py wraps cli.make_problem by name
+from .objective import make_problem  # noqa: F401
 from .topology import (GraphConnectivityError, build_arc_matrices,
                        gen_connected_graph, spectral_summary, write_edge_list)
 
@@ -42,8 +43,15 @@ def _env_jobs() -> int:
         raise ConfigError(f"NCADMM_JOBS must be an integer, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors through ``main`` (one line, exit 1), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncadmm",
         description="Decentralized consensus-ADMM simulator with additive "
                     "computation error and convergence certification.",
@@ -115,11 +123,7 @@ def _parse_cell(cfg: ExperimentConfig, text: str) -> int:
 
 def _cell_trajectory(cfg: ExperimentConfig, cell_idx: int):
     """Trial 0 of one sweep cell, full record, plus its reference point."""
-    graph_seed, problem_seed = trial_seeds(cfg, 0)
-    g = gen_connected_graph(cfg.graph.n_nodes, cfg.graph.rho, graph_seed)
-    obj, _ = make_problem(cfg.graph.n_nodes, cfg.problem.dim,
-                          cfg.problem.obs_noise_var, cfg.problem.design_kind,
-                          problem_seed)
+    g, obj = trial_instance(cfg, 0)
     c, sigma_e = cfg.cells()[cell_idx]
     traj = run_decentralized(
         g, obj, c, cfg.noise_model(sigma_e), cfg.noise.placement_mode,

@@ -23,8 +23,9 @@ from .admm import run_decentralized
 from .analysis import TheoryReport, edc_metric, optimize_delta, theory_constants
 from .config import ExperimentConfig
 from .noise import RandomStream, derive_seed
-from .objective import make_problem
-from .topology import build_arc_matrices, gen_connected_graph, spectral_summary
+from .objective import ObjectiveSet, make_problem
+from .topology import (Graph, build_arc_matrices, gen_connected_graph,
+                       spectral_summary)
 
 # Trial-level seed domains (disjoint from the tags used inside the modules).
 _TRIAL_GRAPH = 11
@@ -53,13 +54,19 @@ def trial_seeds(cfg: ExperimentConfig, trial: int) -> tuple[int, int]:
             derive_seed(cfg.seed, _TRIAL_PROBLEM, trial))
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> np.ndarray:
-    """All sweep-cell E^DC curves of one trial: shape (n_cells, K+1)."""
+def trial_instance(cfg: ExperimentConfig, trial: int) -> tuple[Graph, ObjectiveSet]:
+    """The graph and estimation problem that every cell of ``trial`` shares."""
     graph_seed, problem_seed = trial_seeds(cfg, trial)
     g = gen_connected_graph(cfg.graph.n_nodes, cfg.graph.rho, graph_seed)
     obj, _ = make_problem(cfg.graph.n_nodes, cfg.problem.dim,
                           cfg.problem.obs_noise_var, cfg.problem.design_kind,
                           problem_seed)
+    return g, obj
+
+
+def run_trial(cfg: ExperimentConfig, trial: int) -> np.ndarray:
+    """All sweep-cell E^DC curves of one trial: shape (n_cells, K+1)."""
+    g, obj = trial_instance(cfg, trial)
     x_central = obj.centralized_solution()
     curves = np.empty((len(cfg.cells()), cfg.admm.max_iter + 1))
     for cell_idx, (c, sigma_e) in enumerate(cfg.cells()):
@@ -84,11 +91,7 @@ def _trial_worker(args) -> tuple[int, np.ndarray]:
 
 def preflight_reports(cfg: ExperimentConfig) -> list[TheoryReport]:
     """Certificate constants per sweep cell, evaluated on trial 0's instance."""
-    graph_seed, problem_seed = trial_seeds(cfg, 0)
-    g = gen_connected_graph(cfg.graph.n_nodes, cfg.graph.rho, graph_seed)
-    obj, _ = make_problem(cfg.graph.n_nodes, cfg.problem.dim,
-                          cfg.problem.obs_noise_var, cfg.problem.design_kind,
-                          problem_seed)
+    g, obj = trial_instance(cfg, 0)
     spec = spectral_summary(build_arc_matrices(g))
     reports = []
     for c, sigma_e in cfg.cells():

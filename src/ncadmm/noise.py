@@ -218,14 +218,6 @@ class NoiseModel:
         return replace(self, sigma_e=sigma_e)
 
 
-def sample_error(model: NoiseModel, x: np.ndarray, stream: RandomStream) -> np.ndarray:
-    """One error vector for the value ``x`` at the stream's coordinates."""
-    x = np.asarray(x, dtype=float)
-    block = sample_error_block(model, x[None, :],
-                               stream, stream.iteration, nodes=np.array([stream.node]))
-    return block[0]
-
-
 def sample_error_block(
     model: NoiseModel,
     x_nodes: np.ndarray,
@@ -235,11 +227,12 @@ def sample_error_block(
 ) -> np.ndarray:
     """Error vectors for all rows of ``x_nodes`` (shape (N, n)) at once.
 
-    Row i uses the substream (seed, trial, cell, nodes[i], iteration), so the
-    block is exactly the stack of per-node :func:`sample_error` draws.  With
-    a 1-D array of K iterations the result has shape (K, N, n), and slice k
-    equals the call at ``iteration[k]``; the quantizer does not depend on
-    the iteration, so its slices repeat.
+    Row i uses the substream (seed, trial, cell, nodes[i], iteration);
+    ``nodes`` defaults to the row indices, and ``stream.node`` /
+    ``stream.iteration`` are not read.  With a 1-D array of K iterations
+    the result has shape (K, N, n), and slice k equals the call at
+    ``iteration[k]``; the quantizer does not depend on the iteration, so
+    its slices repeat.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     n_rows, dim = x_nodes.shape
@@ -272,21 +265,9 @@ def _unit_first_axis(dim: int) -> np.ndarray:
     return e
 
 
-def derive_ez(e_x_stacked: np.ndarray, am) -> np.ndarray:
-    """Arc-space error e_z = 0.5 * m_plus.T @ e_x, applied blockwise.
-
-    ``e_x_stacked`` is the node-major stack (length N*n); the result is the
-    arc-major stack (length 2E*n).
-    """
-    e_x = np.asarray(e_x_stacked, dtype=float)
-    n_nodes = am.n_nodes
-    if e_x.size % n_nodes != 0:
-        raise ValueError(f"stacked length {e_x.size} is not a multiple of N={n_nodes}")
-    dim = e_x.size // n_nodes
-    e_z = 0.5 * am.apply_mplus_t(e_x.reshape(n_nodes, dim))
-    return e_z.reshape(-1)
-
-
 def derive_ez_block(e_x_nodes: np.ndarray, am) -> np.ndarray:
-    """Blockwise e_z for one or many (N, n) error blocks: (..., 2E, n)."""
-    return 0.5 * am.apply_mplus_t(np.asarray(e_x_nodes, dtype=float))
+    """Arc-space error e_z = 0.5 * m_plus.T @ e_x for (..., N, n) blocks: (..., 2E, n)."""
+    e_x = np.asarray(e_x_nodes, dtype=float)
+    if e_x.ndim < 2 or e_x.shape[-2] != am.n_nodes:
+        raise ValueError(f"error block of shape {e_x.shape} needs N={am.n_nodes} node rows")
+    return 0.5 * am.apply_mplus_t(e_x)

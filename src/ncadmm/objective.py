@@ -173,22 +173,6 @@ class ObjectiveSet:
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="ascii")))
 
 
-def local_gradient(loc: QuadraticLocal, x: np.ndarray) -> np.ndarray:
-    return loc.gradient(x)
-
-
-def x_update(loc: QuadraticLocal, alpha_i, own_x, neighbor_sum, degree: int, c: float) -> np.ndarray:
-    return loc.x_update(alpha_i, own_x, neighbor_sum, degree, c)
-
-
-def aggregate_constants(obj: ObjectiveSet) -> tuple[float, float]:
-    return obj.m_f, obj.M_f
-
-
-def centralized_solution(obj: ObjectiveSet) -> np.ndarray:
-    return obj.centralized_solution()
-
-
 def make_problem(
     n_nodes: int,
     dim: int,

@@ -2,16 +2,19 @@
 
 A network of N nodes with E undirected edges is represented by :class:`Graph`.
 Every edge contributes two directed arcs, so the arc set has size 2E.  The
-arc matrices ``m_plus`` / ``m_minus`` (one column per arc, +-1 entries) tie
-the per-node iterates to the per-arc consensus variables:
+arc matrices ``m_plus`` / ``m_minus`` (one column per arc q = (i, j): +1 at
+row i, +1 / -1 at row j) tie the per-node iterates to the per-arc consensus
+variables:
 
     0.5 * m_plus @ m_plus.T  == D + W   (signless Laplacian)
     0.5 * m_minus @ m_minus.T == D - W  (standard Laplacian)
 
-with D the degree diagonal and W the adjacency matrix.  Only the base
-(dimension-1) matrices are stored; the lift to n-dimensional node variables
-is a Kronecker product with the identity and leaves all singular values
-unchanged, so solvers apply the base matrices blockwise instead.
+with D the degree diagonal and W the adjacency matrix.  :class:`ArcMatrices`
+holds only the arcs' tail (i) and head (j) index arrays: ``m_plus.T @ x`` is
+the gather ``x[tail] + x[head]`` and ``m_plus @ z`` a scatter-add onto both
+end nodes, applied blockwise to n-dimensional node variables (the Kronecker
+lift, which leaves all singular values unchanged).  The Laplacians come from
+degrees and edges; the dense matrices are built only on request.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class Graph:
             if prev is not None and (i, j) <= prev:
                 raise ValueError("edges must be sorted and unique")
             prev = (i, j)
-        if not self._connected():
+        if not _is_connected(self.n_nodes, self.edges):
             raise ValueError("graph is not connected")
 
     @classmethod
@@ -67,20 +70,6 @@ class Graph:
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
         return cls(n_nodes=n_nodes, edges=tuple(canon))
-
-    def _connected(self) -> bool:
-        parent = list(range(self.n_nodes))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in self.edges:
-            parent[find(i)] = find(j)
-        root = find(0)
-        return all(find(v) == root for v in range(self.n_nodes))
 
     @property
     def n_edges(self) -> int:
@@ -118,51 +107,80 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class ArcMatrices:
-    """Base (dimension-1) arc matrices of a graph, one column per arc.
+    """Arc-incidence operators of a graph, held as tail/head index arrays.
 
-    For arc q = (i, j): ``m_plus[:, q]`` has +1 at rows i and j,
-    ``m_minus[:, q]`` has +1 at row i and -1 at row j.
+    Arc q runs from ``tail[q]`` to ``head[q]`` in the canonical arc order.
+    The ``apply_*`` methods take stacked variables whose last two axes are
+    (N, n) for nodes or (2E, n) for arcs; leading axes are batch axes.
     """
 
-    m_plus: np.ndarray   # (N, 2E)
-    m_minus: np.ndarray  # (N, 2E)
-    arcs: tuple[tuple[int, int], ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.m_plus.shape[0]
+    n_nodes: int
+    tail: np.ndarray  # (2E,)
+    head: np.ndarray  # (2E,)
 
     @property
     def n_arcs(self) -> int:
-        return self.m_plus.shape[1]
+        return self.tail.shape[0]
+
+    @cached_property
+    def m_plus(self) -> np.ndarray:
+        """Dense (N, 2E) base matrix: +1 at the tail and the head of each arc."""
+        return self._dense(1.0)
+
+    @cached_property
+    def m_minus(self) -> np.ndarray:
+        """Dense (N, 2E) base matrix: +1 at the tail, -1 at the head of each arc."""
+        return self._dense(-1.0)
+
+    def _dense(self, head_sign: float) -> np.ndarray:
+        m = np.zeros((self.n_nodes, self.n_arcs))
+        cols = np.arange(self.n_arcs)
+        m[self.tail, cols] = 1.0
+        m[self.head, cols] = head_sign
+        return m
 
     @cached_property
     def signless_laplacian(self) -> np.ndarray:
         """D + W, equal to 0.5 * m_plus @ m_plus.T."""
-        return 0.5 * (self.m_plus @ self.m_plus.T)
+        return self._gram(1.0)
 
     @cached_property
     def laplacian(self) -> np.ndarray:
         """D - W, equal to 0.5 * m_minus @ m_minus.T."""
-        return 0.5 * (self.m_minus @ self.m_minus.T)
+        return self._gram(-1.0)
+
+    def _gram(self, adjacency_sign: float) -> np.ndarray:
+        m = np.zeros((self.n_nodes, self.n_nodes))
+        m[self.tail, self.head] = adjacency_sign
+        m[np.diag_indices(self.n_nodes)] = np.bincount(self.tail, minlength=self.n_nodes)
+        return m
 
     def apply_mplus_t(self, x_nodes: np.ndarray) -> np.ndarray:
-        """Blockwise m_plus.T @ x for node-major stacked variables.
+        """m_plus.T @ x for node-major stacked variables.
 
-        ``x_nodes`` has shape (..., N, n); the result has shape (..., 2E, n)
-        and equals the lifted (Kronecker) matrix applied to the stack.
+        ``x_nodes`` has shape (..., N, n); the result has shape (..., 2E, n),
+        is C-contiguous, and equals the lifted (Kronecker) matrix applied to
+        the stack.
         """
-        return np.matmul(self.m_plus.T, x_nodes)
+        return np.take(x_nodes, self.tail, axis=-2) + np.take(x_nodes, self.head, axis=-2)
 
     def apply_mminus_t(self, x_nodes: np.ndarray) -> np.ndarray:
-        return np.matmul(self.m_minus.T, x_nodes)
+        return np.take(x_nodes, self.tail, axis=-2) - np.take(x_nodes, self.head, axis=-2)
 
     def apply_mplus(self, z_arcs: np.ndarray) -> np.ndarray:
-        """Blockwise m_plus @ z for arc-major stacked variables (..., 2E, n)."""
-        return np.matmul(self.m_plus, z_arcs)
+        """m_plus @ z for arc-major stacked variables (..., 2E, n)."""
+        return self._scatter(z_arcs, np.add)
 
     def apply_mminus(self, z_arcs: np.ndarray) -> np.ndarray:
-        return np.matmul(self.m_minus, z_arcs)
+        return self._scatter(z_arcs, np.subtract)
+
+    def _scatter(self, z_arcs: np.ndarray, head_op: np.ufunc) -> np.ndarray:
+        """Add each arc's value onto its tail node and ``head_op`` it onto its head."""
+        z_arcs = np.asarray(z_arcs, dtype=float)
+        out = np.zeros(z_arcs.shape[:-2] + (self.n_nodes, z_arcs.shape[-1]))
+        np.add.at(out, (..., self.tail, slice(None)), z_arcs)
+        head_op.at(out, (..., self.head, slice(None)), z_arcs)
+        return out
 
 
 @dataclass(frozen=True)
@@ -212,9 +230,8 @@ def gen_connected_graph(
     all_edges = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
     for attempt in range(max_retries):
         chosen = _sample_edge_subset(all_edges, n_edges, seed, attempt)
-        g = Graph.from_edges(n_nodes, chosen) if _is_connected(n_nodes, chosen) else None
-        if g is not None:
-            return g
+        if _is_connected(n_nodes, chosen):
+            return Graph.from_edges(n_nodes, chosen)
     raise GraphConnectivityError(
         f"no connected graph in {max_retries} samples "
         f"(N={n_nodes}, rho={rho}, E={n_edges}, seed={seed})"
@@ -248,16 +265,10 @@ def _is_connected(n_nodes, edges) -> bool:
 
 
 def build_arc_matrices(g: Graph) -> ArcMatrices:
-    """Assemble the base arc matrices in the canonical arc order."""
-    n, a = g.n_nodes, g.n_arcs
-    m_plus = np.zeros((n, a))
-    m_minus = np.zeros((n, a))
-    for q, (i, j) in enumerate(g.arcs):
-        m_plus[i, q] = 1.0
-        m_plus[j, q] = 1.0
-        m_minus[i, q] = 1.0
-        m_minus[j, q] = -1.0
-    return ArcMatrices(m_plus=m_plus, m_minus=m_minus, arcs=g.arcs)
+    """Tail/head index arrays in the canonical arc order."""
+    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    return ArcMatrices(n_nodes=g.n_nodes, tail=edges.reshape(-1),
+                       head=edges[:, ::-1].reshape(-1))
 
 
 def spectral_summary(am: ArcMatrices) -> SpectralSummary:

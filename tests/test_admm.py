@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, gnorm_distance,
-                         gnorm_series, reference_point, run_decentralized,
-                         run_matrix_form, x_err_series)
+from ncadmm import admm
+from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, gnorm_series,
+                         reference_point, run_decentralized, run_matrix_form,
+                         x_err_series)
 from ncadmm.analysis import edc_metric
 from ncadmm.noise import NoiseModel, RandomStream, sample_error_block
 from ncadmm.objective import ObjectiveSet, QuadraticLocal, make_problem
@@ -64,34 +65,29 @@ class TestGnormDistance:
         traj = run_matrix_form(g, obj, 0.1, NoiseModel.none(), 1,
                                RandomStream(seed=1),
                                x0=ref.x_star, beta0=ref.beta_star)
-        assert gnorm_distance(traj.state(0), ref, 0.1) == 0.0
+        assert gnorm_series(traj, ref)[0] == 0.0
 
     def test_weighted_combination(self):
         g = Graph.from_edges(2, [(0, 1)])
         obj = ObjectiveSet.from_locals(
             [QuadraticLocal.from_data(np.eye(1), np.zeros(1)) for _ in range(2)])
         ref = reference_point(g, obj)
+        # ||z - z*||^2 = 1, ||beta - beta*||^2 = 4 by direct construction
         traj = run_matrix_form(g, obj, 2.0, NoiseModel.none(), 1,
                                RandomStream(seed=1),
-                               x0=ref.x_star,
-                               beta0=ref.beta_star)
-        st = traj.state(0)
-        # ||z - z*||^2 = 1, ||beta - beta*||^2 = 4 by direct construction
-        st2 = type(st)(k=0, x=st.x, alpha=st.alpha,
-                       z=ref.z_star + np.array([[np.sqrt(0.5)], [np.sqrt(0.5)]]),
-                       beta=ref.beta_star + np.array([[np.sqrt(2.0)], [np.sqrt(2.0)]]))
-        assert gnorm_distance(st2, ref, 2.0) == pytest.approx(2.0 * 1.0 + 0.5 * 4.0)
+                               x0=ref.x_star + np.sqrt(0.5),
+                               beta0=ref.beta_star + np.sqrt(2.0))
+        assert gnorm_series(traj, ref)[0] == pytest.approx(2.0 * 1.0 + 0.5 * 4.0)
 
     def test_c_scaling(self):
         g, obj = small_setup(4)
         ref = reference_point(g, obj)
-        traj = run_matrix_form(g, obj, 1.0, NoiseModel.gaussian(0.1), 5,
-                               RandomStream(seed=2))
-        st = traj.state(5)
-        dz = float(np.sum((st.z - ref.z_star) ** 2))
-        db = float(np.sum((st.beta - ref.beta_star) ** 2))
         for c in (0.5, 1.0, 2.0):
-            assert gnorm_distance(st, ref, c) == pytest.approx(c * dz + db / c)
+            traj = run_matrix_form(g, obj, c, NoiseModel.gaussian(0.1), 5,
+                                   RandomStream(seed=2))
+            dz = float(np.sum((traj.zs[5] - ref.z_star) ** 2))
+            db = float(np.sum((traj.betas[5] - ref.beta_star) ** 2))
+            assert gnorm_series(traj, ref)[5] == pytest.approx(c * dz + db / c)
 
 
 class TestEngineEquivalence:
@@ -181,7 +177,7 @@ def per_iteration_matrix_form(g, obj, c, model, max_iter, stream):
     rhs_const = np.stack([loc.rhs for loc in obj.locals])
     x = np.zeros((g.n_nodes, obj.dim))
     beta = np.zeros((g.n_arcs, obj.dim))
-    xs, e_xs = [x], []
+    xs, e_xs, zs, betas = [x], [], [0.5 * am.apply_mplus_t(x)], [beta]
     for k in range(max_iter):
         e_k = sample_error_block(model, x, stream, k)
         z_hat = 0.5 * am.apply_mplus_t(x + e_k)
@@ -190,7 +186,9 @@ def per_iteration_matrix_form(g, obj, c, model, max_iter, stream):
         beta = beta + (0.5 * c) * am.apply_mminus_t(x)
         xs.append(x)
         e_xs.append(e_k)
-    return np.stack(xs), np.stack(e_xs)
+        zs.append(0.5 * am.apply_mplus_t(x))
+        betas.append(beta)
+    return np.stack(xs), np.stack(e_xs), np.stack(zs), np.stack(betas)
 
 
 class TestChunkedDraws:
@@ -223,9 +221,28 @@ class TestChunkedDraws:
         g, obj = instance
         stream = RandomStream(seed=16, trial=1, cell=2)
         traj = run_matrix_form(g, obj, 0.3, model, 100, stream)
-        xs, e_xs = per_iteration_matrix_form(g, obj, 0.3, model, 100, stream)
+        xs, e_xs, zs, betas = per_iteration_matrix_form(g, obj, 0.3, model, 100, stream)
         assert np.array_equal(traj.xs, xs)
         assert np.array_equal(traj.e_xs, e_xs)
+        assert np.array_equal(traj.zs, zs)
+        assert np.array_equal(traj.betas, betas)
+
+
+@pytest.mark.parametrize("mode, n_messages", [(ANALYSIS_FAITHFUL, 10), (BROADCAST, 11)])
+def test_quantizer_draws_each_message_once(monkeypatch, mode, n_messages):
+    """K=10 iterations carry 10 perturbed iterates, 11 in broadcast (the last one too)."""
+    iterations = []
+    real = admm.sample_error_block
+
+    def counting(model, x_nodes, stream, iteration, *args, **kwargs):
+        iterations.append(iteration)
+        return real(model, x_nodes, stream, iteration, *args, **kwargs)
+
+    monkeypatch.setattr(admm, "sample_error_block", counting)
+    g, obj = small_setup(21)
+    run_decentralized(g, obj, 0.5, NoiseModel.quantizer(1e-3), mode, 10,
+                      RandomStream(seed=1))
+    assert iterations == list(range(n_messages))
 
 
 class TestConvergence:

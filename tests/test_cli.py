@@ -64,6 +64,27 @@ class TestJobsEnvironment:
         assert _build_parser().parse_args(["experiment"]).jobs == 3
 
 
+class TestUsageErrors:
+    def test_bad_value_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["gen-graph", "--nodes", "x", "--rho", "0.1",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: argument --nodes: invalid int value: 'x'\n"
+        assert not out.exists()
+
+    def test_missing_command_is_one_line_error(self, capsys):
+        assert main([]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-graph", "--help"])
+        assert exc.value.code == 0
+        assert "--nodes" in capsys.readouterr().out
+
+
 class TestTheory:
     def test_single_cell_flat_json(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
@@ -170,9 +191,8 @@ class TestExperiment:
         assert first != second
 
     def test_unknown_flag_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", "--frobnicate"])
-        assert exc.value.code != 0
+        assert main(["experiment", "--frobnicate"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --frobnicate\n"
 
     def test_csv_override_flag(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -3,16 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncadmm.noise import (NoiseModel, RandomStream, derive_ez, derive_ez_block,
+from ncadmm.noise import (NoiseModel, RandomStream, derive_ez_block,
                           derive_seed, fold_key, keyed_normals, keyed_uniforms,
-                          lane_states, polar_normals, sample_error,
-                          sample_error_block)
+                          lane_states, polar_normals, sample_error_block)
 from ncadmm.noise import _NOISE_DOMAIN
 from ncadmm.topology import Graph, build_arc_matrices, gen_connected_graph
 
 
 def stream(**kw):
     return RandomStream(seed=42, **kw)
+
+
+def one_error(model, x, s):
+    """The error on node ``s.node``'s value ``x`` at iteration ``s.iteration``."""
+    x = np.asarray(x, dtype=float)[None, :]
+    return sample_error_block(model, x, s, s.iteration, nodes=np.array([s.node]))[0]
 
 
 class TestKeyedRng:
@@ -63,22 +68,22 @@ class TestNoiseModel:
             NoiseModel(kind="gaussian", sigma_e=-1.0)
 
     def test_none_is_zero(self):
-        e = sample_error(NoiseModel.none(), np.ones(4), stream())
+        e = one_error(NoiseModel.none(), np.ones(4), stream())
         assert np.array_equal(e, np.zeros(4))
 
     def test_gaussian_zero_sigma_degenerates(self):
-        e = sample_error(NoiseModel.gaussian(0.0), np.ones(3), stream())
+        e = one_error(NoiseModel.gaussian(0.0), np.ones(3), stream())
         assert np.array_equal(e, np.zeros(3))
 
     def test_quantizer_rounding(self):
         q = NoiseModel.quantizer(0.5)
-        assert sample_error(q, np.array([0.74]), stream())[0] == pytest.approx(-0.24)
-        assert sample_error(q, np.array([0.76]), stream())[0] == pytest.approx(0.24)
+        assert one_error(q, np.array([0.74]), stream())[0] == pytest.approx(-0.24)
+        assert one_error(q, np.array([0.76]), stream())[0] == pytest.approx(0.24)
 
     def test_quantizer_half_away_from_zero(self):
         q = NoiseModel.quantizer(1.0)
-        assert sample_error(q, np.array([0.5]), stream())[0] == pytest.approx(0.5)
-        assert sample_error(q, np.array([-0.5]), stream())[0] == pytest.approx(-0.5)
+        assert one_error(q, np.array([0.5]), stream())[0] == pytest.approx(0.5)
+        assert one_error(q, np.array([-0.5]), stream())[0] == pytest.approx(-0.5)
 
     def test_quantizer_error_bounded(self):
         q = NoiseModel.quantizer(0.2)
@@ -87,27 +92,27 @@ class TestNoiseModel:
         assert np.all(np.abs(e) <= 0.1 + 1e-15)
 
     def test_fixed_norm_exact(self):
-        e = sample_error(NoiseModel.fixed_norm(0.01), np.zeros(7), stream())
+        e = one_error(NoiseModel.fixed_norm(0.01), np.zeros(7), stream())
         assert abs(np.linalg.norm(e) - 0.01) <= 1e-15
 
     def test_fixed_norm_one_dimensional(self):
-        e = sample_error(NoiseModel.fixed_norm(2.0), np.zeros(1), stream())
+        e = one_error(NoiseModel.fixed_norm(2.0), np.zeros(1), stream())
         assert abs(e[0]) == pytest.approx(2.0)
 
 
 class TestDeterminism:
     def test_same_coordinates_same_draw(self):
         m = NoiseModel.gaussian(1.0)
-        a = sample_error(m, np.zeros(3), stream(trial=1, node=4, iteration=9))
-        b = sample_error(m, np.zeros(3), stream(trial=1, node=4, iteration=9))
+        a = one_error(m, np.zeros(3), stream(trial=1, node=4, iteration=9))
+        b = one_error(m, np.zeros(3), stream(trial=1, node=4, iteration=9))
         assert np.array_equal(a, b)
 
     def test_distinct_coordinates_differ(self):
         m = NoiseModel.gaussian(1.0)
         base = stream(trial=1, cell=1, node=1, iteration=1)
-        draws = [sample_error(m, np.zeros(3), base)]
+        draws = [one_error(m, np.zeros(3), base)]
         for field in ("trial", "cell", "node", "iteration"):
-            draws.append(sample_error(m, np.zeros(3), base.at(**{field: 2})))
+            draws.append(one_error(m, np.zeros(3), base.at(**{field: 2})))
         flat = [tuple(d) for d in draws]
         assert len(set(flat)) == len(flat)
 
@@ -116,7 +121,7 @@ class TestDeterminism:
         for m in (NoiseModel.gaussian(0.3), NoiseModel.fixed_norm(0.2),
                   NoiseModel.quantizer(0.1), NoiseModel.none()):
             blk = sample_error_block(m, x, stream(trial=2, cell=1), 6)
-            rows = [sample_error(m, x[i], stream(trial=2, cell=1, node=i, iteration=6))
+            rows = [one_error(m, x[i], stream(trial=2, cell=1, node=i, iteration=6))
                     for i in range(5)]
             assert np.array_equal(blk, np.stack(rows)), m.kind
 
@@ -136,25 +141,25 @@ class TestDeterminism:
 class TestDeriveEz:
     def test_zero_maps_to_zero(self):
         am = build_arc_matrices(Graph.from_edges(2, [(0, 1)]))
-        assert np.array_equal(derive_ez(np.zeros(2), am), np.zeros(2))
+        assert np.array_equal(derive_ez_block(np.zeros((2, 1)), am), np.zeros((2, 1)))
 
     def test_single_edge_average(self):
         am = build_arc_matrices(Graph.from_edges(2, [(0, 1)]))
-        e_z = derive_ez(np.array([3.0, 5.0]), am)
-        assert e_z.tolist() == [4.0, 4.0]
+        e_z = derive_ez_block(np.array([[3.0], [5.0]]), am)
+        assert e_z.tolist() == [[4.0], [4.0]]
 
     def test_rejects_bad_length(self):
         am = build_arc_matrices(Graph.from_edges(3, [(0, 1), (1, 2)]))
-        with pytest.raises(ValueError, match="multiple"):
-            derive_ez(np.zeros(4), am)
+        with pytest.raises(ValueError, match="node rows"):
+            derive_ez_block(np.zeros((4, 1)), am)
 
     def test_linearity(self):
         g = gen_connected_graph(8, rho=0.5, seed=3)
         am = build_arc_matrices(g)
-        u = keyed_normals(1, (0,), 16)
-        v = keyed_normals(1, (1,), 16)
-        lhs = derive_ez(2.0 * u - 3.0 * v, am)
-        rhs = 2.0 * derive_ez(u, am) - 3.0 * derive_ez(v, am)
+        u = keyed_normals(1, (0,), 16).reshape(8, 2)
+        v = keyed_normals(1, (1,), 16).reshape(8, 2)
+        lhs = derive_ez_block(2.0 * u - 3.0 * v, am)
+        rhs = 2.0 * derive_ez_block(u, am) - 3.0 * derive_ez_block(v, am)
         assert np.allclose(lhs, rhs, atol=1e-14)
 
     def test_operator_norm_bound(self):
@@ -162,8 +167,8 @@ class TestDeriveEz:
         am = build_arc_matrices(g)
         sigma_max = np.linalg.svd(am.m_plus, compute_uv=False).max()
         for i in range(20):
-            e_x = keyed_normals(2, (i,), 20)
-            e_z = derive_ez(e_x, am)
+            e_x = keyed_normals(2, (i,), 20).reshape(10, 2)
+            e_z = derive_ez_block(e_x, am)
             assert np.linalg.norm(e_z) <= 0.5 * sigma_max * np.linalg.norm(e_x) + 1e-12
 
     def test_block_version_matches(self):
@@ -172,8 +177,7 @@ class TestDeriveEz:
         blocks = keyed_normals(3, (9,), 6 * 2 * 4).reshape(4, 6, 2)
         stacked = derive_ez_block(blocks, am)
         for k in range(4):
-            assert np.allclose(stacked[k].reshape(-1),
-                               derive_ez(blocks[k].reshape(-1), am), atol=0)
+            assert np.allclose(stacked[k], derive_ez_block(blocks[k], am), atol=0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,7 +185,7 @@ class TestDeriveEz:
        node=st.integers(min_value=0, max_value=1000),
        iteration=st.integers(min_value=0, max_value=10_000))
 def test_fixed_norm_property(sigma, node, iteration):
-    e = sample_error(NoiseModel.fixed_norm(sigma), np.zeros(4),
+    e = one_error(NoiseModel.fixed_norm(sigma), np.zeros(4),
                      RandomStream(seed=5, node=node, iteration=iteration))
     assert np.linalg.norm(e) == pytest.approx(sigma, rel=1e-12)
 
@@ -190,7 +194,7 @@ def test_fixed_norm_property(sigma, node, iteration):
 @given(delta=st.floats(min_value=1e-3, max_value=100.0),
        value=st.floats(min_value=-1e6, max_value=1e6))
 def test_quantizer_property(delta, value):
-    e = sample_error(NoiseModel.quantizer(delta), np.array([value]),
+    e = one_error(NoiseModel.quantizer(delta), np.array([value]),
                      RandomStream(seed=1))
     assert abs(e[0]) <= delta / 2 + 1e-9 * delta
     quantized = value + e[0]

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ncadmm.objective import (ObjectiveSet, QuadraticLocal, aggregate_constants,
-                              centralized_solution, keyed_normals_for,
-                              local_gradient, make_problem, x_update)
+from ncadmm.objective import (ObjectiveSet, QuadraticLocal, keyed_normals_for,
+                              make_problem)
 
 
 def random_local(seed, m=3, n=3):
@@ -15,11 +14,11 @@ def random_local(seed, m=3, n=3):
 class TestQuadraticLocal:
     def test_gradient_identity_design(self):
         loc = QuadraticLocal.from_data(np.eye(2), np.zeros(2))
-        assert local_gradient(loc, np.array([1.0, 2.0])).tolist() == [1.0, 2.0]
+        assert loc.gradient(np.array([1.0, 2.0])).tolist() == [1.0, 2.0]
 
     def test_gradient_vanishes_at_local_optimum(self):
         loc = QuadraticLocal.from_data(np.eye(2), np.ones(2))
-        assert local_gradient(loc, np.ones(2)).tolist() == [0.0, 0.0]
+        assert loc.gradient(np.ones(2)).tolist() == [0.0, 0.0]
 
     def test_gradient_matches_finite_differences(self):
         loc = random_local(3)
@@ -45,14 +44,14 @@ class TestQuadraticLocal:
 class TestXUpdate:
     def test_scalar_hand_solve(self):
         loc = QuadraticLocal.from_data(np.array([[1.0]]), np.array([0.0]))
-        out = x_update(loc, alpha_i=np.zeros(1), own_x=np.array([1.0]),
-                       neighbor_sum=np.array([1.0]), degree=1, c=1.0)
+        out = loc.x_update(alpha_i=np.zeros(1), own_x=np.array([1.0]),
+                           neighbor_sum=np.array([1.0]), degree=1, c=1.0)
         assert out[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_consensus_fixed_point(self):
         x_bar = np.array([0.3, -0.7])
         loc = QuadraticLocal.from_data(np.eye(2), x_bar)  # gradient zero at x_bar
-        out = x_update(loc, np.zeros(2), x_bar, 3.0 * x_bar, degree=3, c=0.8)
+        out = loc.x_update(np.zeros(2), x_bar, 3.0 * x_bar, degree=3, c=0.8)
         assert np.allclose(out, x_bar, atol=1e-14)
 
     def test_defining_equation_residual(self):
@@ -61,7 +60,7 @@ class TestXUpdate:
         own = keyed_normals_for(8, (1,), 3)
         nbr = keyed_normals_for(8, (2,), 3)
         c, degree = 0.37, 4
-        out = x_update(loc, alpha, own, nbr, degree, c)
+        out = loc.x_update(alpha, own, nbr, degree, c)
         residual = (loc.gram @ out + 2 * c * degree * out
                     - (loc.rhs - alpha + c * (degree * own + nbr)))
         assert np.linalg.norm(residual) < 1e-12
@@ -69,21 +68,21 @@ class TestXUpdate:
     def test_rejects_bad_c_and_degree(self):
         loc = random_local(2)
         with pytest.raises(ValueError):
-            x_update(loc, np.zeros(3), np.zeros(3), np.zeros(3), degree=1, c=0.0)
+            loc.x_update(np.zeros(3), np.zeros(3), np.zeros(3), degree=1, c=0.0)
         with pytest.raises(ValueError):
-            x_update(loc, np.zeros(3), np.zeros(3), np.zeros(3), degree=0, c=1.0)
+            loc.x_update(np.zeros(3), np.zeros(3), np.zeros(3), degree=0, c=1.0)
 
 
 class TestObjectiveSet:
     def test_identity_designs(self):
         obj = ObjectiveSet.from_locals(
             [QuadraticLocal.from_data(np.eye(2), np.zeros(2)) for _ in range(4)])
-        assert aggregate_constants(obj) == (1.0, 1.0)
+        assert (obj.m_f, obj.M_f) == (1.0, 1.0)
 
     def test_single_node_diag(self):
         obj = ObjectiveSet.from_locals(
             [QuadraticLocal.from_data(np.diag([1.0, 2.0]), np.zeros(2))])
-        assert aggregate_constants(obj) == (1.0, 4.0)
+        assert (obj.m_f, obj.M_f) == (1.0, 4.0)
 
     def test_moduli_bracket_rayleigh_quotient(self):
         obj, _ = make_problem(5, 3, 1e-3, "gaussian", seed=6)
@@ -98,12 +97,12 @@ class TestObjectiveSet:
         locs = [QuadraticLocal.from_data(np.array([[1.0]]), np.array([v]))
                 for v in (1.0, 3.0)]
         obj = ObjectiveSet.from_locals(locs)
-        assert centralized_solution(obj)[0] == pytest.approx(2.0)
+        assert obj.centralized_solution()[0] == pytest.approx(2.0)
 
     def test_centralized_single_node(self):
         loc = random_local(4)
         obj = ObjectiveSet.from_locals([loc])
-        x = centralized_solution(obj)
+        x = obj.centralized_solution()
         assert np.allclose(loc.gradient(x), 0.0, atol=1e-10)
 
     def test_centralized_gradient_vanishes(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncadmm.noise import keyed_normals
 from ncadmm.topology import (DEFAULT_MAX_RETRIES, Graph,
                              GraphConnectivityError, build_arc_matrices,
                              check_laplacian_bound, gen_connected_graph,
@@ -92,7 +93,7 @@ class TestGenConnectedGraph:
 class TestArcMatrices:
     def test_path3_columns(self):
         am = build_arc_matrices(path3())
-        q = am.arcs.index((0, 1))
+        q = path3().arcs.index((0, 1))
         assert am.m_plus[:, q].tolist() == [1.0, 1.0, 0.0]
         assert am.m_minus[:, q].tolist() == [1.0, -1.0, 0.0]
 
@@ -121,6 +122,18 @@ class TestArcMatrices:
         am = build_arc_matrices(g)
         ones = np.ones(10)
         assert np.array_equal(am.m_minus.T @ ones, np.zeros(g.n_arcs))
+
+    def test_batched_operators_match_dense(self):
+        g = gen_connected_graph(20, rho=0.2, seed=6)
+        am = build_arc_matrices(g)
+        x = keyed_normals(4, (0,), 5 * 20 * 3).reshape(5, 20, 3)
+        z = keyed_normals(4, (1,), 5 * g.n_arcs * 3).reshape(5, g.n_arcs, 3)
+        for apply_t, dense in ((am.apply_mplus_t, am.m_plus), (am.apply_mminus_t, am.m_minus)):
+            out = apply_t(x)
+            assert np.array_equal(out, np.matmul(dense.T, x))
+            assert out.flags.c_contiguous
+        assert np.allclose(am.apply_mplus(z), np.matmul(am.m_plus, z), atol=1e-12)
+        assert np.allclose(am.apply_mminus(z), np.matmul(am.m_minus, z), atol=1e-12)
 
     def test_rank_deficiency_is_exactly_one(self):
         for seed in range(5):
