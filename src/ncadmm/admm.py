@@ -235,15 +235,13 @@ def run_decentralized(
     max_iter: int,
     stream: RandomStream,
     record: str = "full",
-    x0: np.ndarray | None = None,
-    alpha0: np.ndarray | None = None,
 ) -> Trajectory:
     """Run the per-node protocol for ``max_iter`` iterations.
 
-    Starts from x = alpha = 0 unless overridden.  ``record="light"`` keeps
-    only the x history (used by the Monte Carlo sweep); "full" additionally
-    stores the per-node duals, the injected error blocks and the initial
-    arc dual, from which the trajectory derives its arc variables.
+    Starts from x = alpha = 0.  ``record="light"`` keeps only the x history
+    (used by the Monte Carlo sweep); "full" additionally stores the per-node
+    duals, the injected error blocks and the initial arc dual, from which
+    the trajectory derives its arc variables.
     """
     _check_run_args(g, obj, c, max_iter)
     if mode not in PLACEMENT_MODES:
@@ -257,8 +255,8 @@ def run_decentralized(
     rhs_const = np.stack([loc.rhs for loc in obj.locals])
 
     full = record == "full"
-    x = np.zeros((n_nodes, dim)) if x0 is None else np.array(x0, dtype=float)
-    alpha = np.zeros((n_nodes, dim)) if alpha0 is None else np.array(alpha0, dtype=float)
+    x = np.zeros((n_nodes, dim))
+    alpha = np.zeros((n_nodes, dim))
 
     xs = np.empty((max_iter + 1, n_nodes, dim))
     xs[0] = x
@@ -267,11 +265,7 @@ def run_decentralized(
         alphas = np.empty_like(xs)
         alphas[0] = alpha
         e_xs = np.empty((max_iter, n_nodes, dim))
-        if alpha0 is None:
-            beta0 = np.zeros((g.n_arcs, dim))
-        else:
-            # arc dual consistent with a nonzero start: alpha = Mminus beta
-            beta0, *_ = np.linalg.lstsq(build_arc_matrices(g).m_minus, alpha, rcond=None)
+        beta0 = np.zeros((g.n_arcs, dim))
 
     def nbr_sum(values: np.ndarray) -> np.ndarray:
         return np.add.reduceat(values[flat_nbrs], offsets, axis=0)

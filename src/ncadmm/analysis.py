@@ -176,26 +176,34 @@ class ContractionAudit:
         return len(self.contraction_violations) + len(self.x_bound_violations)
 
 
+def error_gates(traj: Trajectory, xerr: np.ndarray) -> np.ndarray:
+    """The error gate ||e_z^k|| <= ||x^{k+1} - x*|| at every step k, shape (K,).
+
+    ``xerr`` is :func:`x_err_series` of the same run.  e_z is the exact
+    arc-space error derived from the recorded noise realization, so the
+    trajectory needs a full record.
+    """
+    traj.require_full()
+    e_z = derive_ez_block(traj.e_xs, build_arc_matrices(traj.graph))
+    return np.sqrt(np.sum(e_z * e_z, axis=(1, 2))) <= xerr[1:]
+
+
 def audit_contraction(traj: Trajectory, ref: ReferencePoint, report: TheoryReport) -> ContractionAudit:
     """Check the certified contraction and primal bounds along a trajectory.
 
     Iterations are checked only where the gate holds and both condition
     flags are true; ratio checks additionally skip steps whose norms both
-    sit below the 1e-14 floor.  The gate uses the exact arc-space error
-    derived from the recorded noise realization, which makes this an
-    offline audit (it needs the reference point).
+    sit below the 1e-14 floor.  The gate is :func:`error_gates`, which
+    makes this an offline audit (it needs the reference point).
     """
     traj.require_full()
     if ref.x_star.shape != traj.xs.shape[1:]:
         raise ValueError("trajectory and reference point have mismatched shapes")
-    am = build_arc_matrices(traj.graph)
     gnorm = gnorm_series(traj, ref)
     xerr = x_err_series(traj, ref)
-    e_z = derive_ez_block(traj.e_xs, am)
-    ez_norm = np.sqrt(np.sum(e_z * e_z, axis=(1, 2)))
+    gates = error_gates(traj, xerr)
 
     n_steps = traj.n_iter
-    gates = ez_norm <= xerr[1:]
     skipped = (gnorm[:-1] < _RATIO_FLOOR) & (gnorm[1:] < _RATIO_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(skipped, np.nan, gnorm[1:] / gnorm[:-1])

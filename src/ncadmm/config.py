@@ -1,17 +1,20 @@
 """Experiment configuration: strict JSON schema, defaults, round-trip.
 
-The document layout mirrors the dataclasses below; unknown keys anywhere are
-rejected so typos fail loudly before any computation starts.  The sweep is
-the cross product of ``admm.c`` and ``noise.sigma_e`` in document order
+The document layout is read off the dataclasses below, which alone declare
+the field names, types and defaults; unknown keys anywhere are rejected so
+typos fail loudly before any computation starts.  The sweep is the cross
+product of ``admm.c`` and ``noise.sigma_e`` in document order
 (c-major); that order also fixes the cell indices used to key the noise
 substreams, so results are independent of how the sweep is executed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from .admm import PLACEMENT_MODES
@@ -74,45 +77,13 @@ class ExperimentConfig:
         return NoiseModel(kind=self.noise.model, sigma_e=sigma_e, delta=self.noise.delta)
 
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        doc["admm"]["c"] = list(self.admm.c)
-        doc["noise"]["sigma_e"] = list(self.noise.sigma_e)
-        return doc
+        # JSON has no tuples: the sweep axes go out as lists
+        return asdict(self, dict_factory=lambda items: {
+            key: list(value) if isinstance(value, tuple) else value for key, value in items})
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        top = _take(dict(doc), "config", {
-            "seed": int, "trials": int, "graph": dict, "problem": dict,
-            "admm": dict, "noise": dict, "output": dict,
-        })
-        graph = _take(top.get("graph", {}), "graph", {"n_nodes": int, "rho": float})
-        problem = _take(top.get("problem", {}), "problem", {
-            "dim": int, "obs_noise_var": float, "design_kind": str,
-        })
-        admm = _take(top.get("admm", {}), "admm", {"c": list, "max_iter": int})
-        noise = _take(top.get("noise", {}), "noise", {
-            "model": str, "sigma_e": list, "delta": float, "placement_mode": str,
-        })
-        output = _take(top.get("output", {}), "output", {"csv_path": str, "svg_path": (str, type(None))})
-
-        cfg = cls(
-            seed=top.get("seed", cls.seed),
-            trials=top.get("trials", cls.trials),
-            graph=GraphConfig(**graph),
-            problem=ProblemConfig(**problem),
-            admm=AdmmConfig(
-                c=_float_list(admm["c"], "admm.c") if "c" in admm else AdmmConfig.c,
-                max_iter=admm.get("max_iter", AdmmConfig.max_iter),
-            ),
-            noise=NoiseConfig(
-                model=noise.get("model", NoiseConfig.model),
-                sigma_e=_float_list(noise["sigma_e"], "noise.sigma_e")
-                if "sigma_e" in noise else NoiseConfig.sigma_e,
-                delta=noise.get("delta", NoiseConfig.delta),
-                placement_mode=noise.get("placement_mode", NoiseConfig.placement_mode),
-            ),
-            output=OutputConfig(**output),
-        )
+        cfg = _section(cls, doc, "config")
         cfg.validate()
         return cfg
 
@@ -154,38 +125,56 @@ class ExperimentConfig:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="ascii")
 
 
-def _float_list(values, name: str) -> tuple[float, ...]:
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{name} entries must be numbers")
-        out.append(float(v))
-    return tuple(out)
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _take(section, name: str, allowed: dict) -> dict:
-    """Copy a config section, rejecting unknown keys and wrong shapes."""
-    if not isinstance(section, dict):
+def _section(cls, doc, name: str):
+    """Build the dataclass ``cls`` from a JSON object, field by field.
+
+    Field names, types and defaults come from the dataclass; unknown keys
+    and values of the wrong shape are rejected, and nested dataclasses are
+    built from their own sections.
+    """
+    if not isinstance(doc, dict):
         raise ConfigError(f"{name} section must be a JSON object")
-    out = {}
-    for key, value in section.items():
-        if key not in allowed:
+    hints = _type_hints(cls)
+    values = {}
+    for key, value in doc.items():
+        if key not in hints:
             raise ConfigError(f"unknown field {key!r} in {name} section")
-        expected = allowed[key]
-        if expected is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name}.{key} must be a number")
-            value = float(value)
-        elif expected is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name}.{key} must be an integer")
-        elif isinstance(expected, tuple):
-            if not isinstance(value, expected):
+        hint = hints[key]
+        if is_dataclass(hint):
+            if not isinstance(value, dict):
                 raise ConfigError(f"{name}.{key} has the wrong type")
-        elif not isinstance(value, expected):
-            raise ConfigError(f"{name}.{key} has the wrong type")
-        out[key] = value
-    return out
+            values[key] = _section(hint, value, key)
+        else:
+            values[key] = _value(hint, value, f"{name}.{key}")
+    return cls(**values)
+
+
+def _value(hint, value, path: str):
+    """Check one JSON value against a field's type; numbers come back as floats."""
+    if hint is float:
+        if not _is_number(value):
+            raise ConfigError(f"{path} must be a number")
+        return float(value)
+    if hint is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path} must be an integer")
+        return value
+    if typing.get_origin(hint) is tuple:  # tuple[float, ...]: a JSON list
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} has the wrong type")
+        if not all(map(_is_number, value)):
+            raise ConfigError(f"{path} entries must be numbers")
+        return tuple(float(v) for v in value)
+    if not isinstance(value, typing.get_args(hint) or hint):
+        raise ConfigError(f"{path} has the wrong type")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_config(path) -> ExperimentConfig:

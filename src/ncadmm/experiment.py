@@ -65,21 +65,32 @@ def trial_instance(cfg: ExperimentConfig, trial: int) -> tuple[Graph, ObjectiveS
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> np.ndarray:
-    """All sweep-cell E^DC curves of one trial: shape (n_cells, K+1)."""
+    """All sweep-cell E^DC curves of one trial: shape (n_cells, K+1).
+
+    A cell whose curve is not finite (overflow from a huge sigma_e, say)
+    fails the trial at once, naming the first non-finite iteration;
+    floating-point warnings on the way there are silenced, because the
+    error reports them.
+    """
     g, obj = trial_instance(cfg, trial)
     x_central = obj.centralized_solution()
     curves = np.empty((len(cfg.cells()), cfg.admm.max_iter + 1))
     for cell_idx, (c, sigma_e) in enumerate(cfg.cells()):
         stream = RandomStream(seed=cfg.seed, trial=trial, cell=cell_idx)
-        traj = run_decentralized(
-            g, obj, c,
-            cfg.noise_model(sigma_e),
-            cfg.noise.placement_mode,
-            cfg.admm.max_iter,
-            stream,
-            record="light",
-        )
-        curves[cell_idx] = edc_metric(traj, x_central)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run_decentralized(
+                g, obj, c,
+                cfg.noise_model(sigma_e),
+                cfg.noise.placement_mode,
+                cfg.admm.max_iter,
+                stream,
+                record="light",
+            )
+            curves[cell_idx] = edc_metric(traj, x_central)
+        finite = np.isfinite(curves[cell_idx])
+        if not finite.all():
+            raise ValueError(f"non-finite E^DC in trial {trial} at c={c:g} "
+                             f"sigma_e={sigma_e:g}, first at k={int(np.argmin(finite))}")
     return curves
 
 

@@ -27,7 +27,7 @@ draws; the engines use that to draw state-independent error in chunks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,24 +136,17 @@ def keyed_normals(seed: int, coords, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Substream coordinates: (seed, trial, cell, node, iteration).
+    """Substream coordinates: (seed, trial, cell).
 
     ``cell`` indexes the (c, sigma_e) sweep cell so the cells of one trial
-    consume independent substreams.
+    consume independent substreams.  The node and iteration coordinates of
+    an error draw are the row index and the ``iteration`` argument of
+    :func:`sample_error_block`.
     """
 
     seed: int
     trial: int = 0
     cell: int = 0
-    node: int = 0
-    iteration: int = 0
-
-    def at(self, **coords) -> "RandomStream":
-        return replace(self, **coords)
-
-    def state(self) -> int:
-        return fold_key(self.seed, (_NOISE_DOMAIN, self.trial, self.cell,
-                                    self.node, self.iteration))
 
 
 def lane_states(stream: RandomStream, nodes: np.ndarray,
@@ -214,25 +207,19 @@ class NoiseModel:
     def fixed_norm(cls, sigma_e: float) -> "NoiseModel":
         return cls(kind="fixed_norm", sigma_e=sigma_e)
 
-    def with_sigma(self, sigma_e: float) -> "NoiseModel":
-        return replace(self, sigma_e=sigma_e)
-
 
 def sample_error_block(
     model: NoiseModel,
     x_nodes: np.ndarray,
     stream: RandomStream,
     iteration: int | np.ndarray,
-    nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Error vectors for all rows of ``x_nodes`` (shape (N, n)) at once.
 
-    Row i uses the substream (seed, trial, cell, nodes[i], iteration);
-    ``nodes`` defaults to the row indices, and ``stream.node`` /
-    ``stream.iteration`` are not read.  With a 1-D array of K iterations
-    the result has shape (K, N, n), and slice k equals the call at
-    ``iteration[k]``; the quantizer does not depend on the iteration, so
-    its slices repeat.
+    Row i uses the substream (seed, trial, cell, i, iteration).  With a 1-D
+    array of K iterations the result has shape (K, N, n), and slice k
+    equals the call at ``iteration[k]``; the quantizer does not depend on
+    the iteration, so its slices repeat.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     n_rows, dim = x_nodes.shape
@@ -246,9 +233,7 @@ def sample_error_block(
         quantized = model.delta * (np.sign(t) * np.floor(np.abs(t) + 0.5))
         return np.broadcast_to(quantized - x_nodes, shape).copy()
 
-    if nodes is None:
-        nodes = np.arange(n_rows)
-    normals = polar_normals(lane_states(stream, nodes, iteration).reshape(-1), dim)
+    normals = polar_normals(lane_states(stream, np.arange(n_rows), iteration).reshape(-1), dim)
     if model.kind == "gaussian":
         return (model.sigma_e * normals).reshape(shape)
     # fixed_norm: normalize each row to sigma_e exactly

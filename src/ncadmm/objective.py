@@ -2,10 +2,11 @@
 
 Node i holds f_i(x) = 0.5 * ||y_i - M_i x||^2 with design M_i and
 observation y_i.  The module carries everything the solvers and the
-convergence certificates need: gradients, the regularized x-update solve,
-the aggregate strong-convexity / gradient-Lipschitz moduli (min/max of the
-local Gram eigenvalues, since the stacked Hessian is block diagonal), and
-the centralized reference solution of the pooled normal equations.
+convergence certificates need: gradients, the aggregate strong-convexity /
+gradient-Lipschitz moduli (min/max of the local Gram eigenvalues, since the
+stacked Hessian is block diagonal), and the centralized reference solution
+of the pooled normal equations.  The engines build the per-node x-update
+solve themselves from each local's Gram matrix.
 
 The interface would admit other smooth strongly convex locals, but only the
 quadratic instance is implemented; a general local would need an inner
@@ -14,13 +15,11 @@ solver for the x-update.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .noise import fold_key, keyed_uniforms, polar_normals
+from .noise import keyed_normals, keyed_uniforms
 
 _PROBLEM_DOMAIN = 2
 _TAG_DESIGN = 0
@@ -64,23 +63,6 @@ class QuadraticLocal:
         if x.shape != (self.dim,):
             raise ValueError(f"expected x of shape ({self.dim},), got {x.shape}")
         return self.gram @ x - self.rhs
-
-    def x_update(self, alpha_i, own_x, neighbor_sum, degree: int, c: float) -> np.ndarray:
-        """Solve the regularized local step of the decentralized iteration:
-
-            (gram + 2*c*degree*I) x+ = rhs - alpha_i + c*(degree*own_x + neighbor_sum)
-
-        Unique for c > 0 and degree >= 1 because the shift makes the system
-        positive definite.
-        """
-        if c <= 0.0:
-            raise ValueError(f"c must be positive, got {c}")
-        if degree < 1:
-            raise ValueError(f"degree must be >= 1, got {degree}")
-        lhs = self.gram + (2.0 * c * degree) * np.eye(self.dim)
-        b = self.rhs - np.asarray(alpha_i, dtype=float) \
-            + c * (degree * np.asarray(own_x, dtype=float) + np.asarray(neighbor_sum, dtype=float))
-        return np.linalg.solve(lhs, b)
 
     def moduli(self) -> tuple[float, float]:
         """(smallest, largest) Gram eigenvalue: local strong convexity and
@@ -142,36 +124,6 @@ class ObjectiveSet:
             )
         return x
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "locals": [
-                {
-                    "design": [list(map(float, row)) for row in loc.design],
-                    "observation": list(map(float, loc.observation)),
-                }
-                for loc in self.locals
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ObjectiveSet":
-        locs = [
-            QuadraticLocal.from_data(entry["design"], entry["observation"])
-            for entry in doc["locals"]
-        ]
-        obj = cls.from_locals(locs)
-        if obj.dim != doc["dim"]:
-            raise ValueError(f"dim mismatch: document says {doc['dim']}, data give {obj.dim}")
-        return obj
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()), encoding="ascii")
-
-    @classmethod
-    def load(cls, path) -> "ObjectiveSet":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="ascii")))
-
 
 def make_problem(
     n_nodes: int,
@@ -198,25 +150,18 @@ def make_problem(
     if obs_noise_var < 0.0:
         raise ValueError("obs_noise_var must be nonnegative")
 
-    true_x = keyed_normals_for(seed, (_TAG_TRUE_X,), dim)
+    true_x = keyed_normals(seed, (_PROBLEM_DOMAIN, _TAG_TRUE_X), dim)
     sigma_obs = float(np.sqrt(obs_noise_var))
     locs = []
     for i in range(n_nodes):
-        if design_kind == "gaussian":
-            m = keyed_normals_for(seed, (_TAG_DESIGN, i), dim * dim).reshape(dim, dim)
-        else:
-            raw = keyed_normals_for(seed, (_TAG_DESIGN, i), dim * dim).reshape(dim, dim)
-            q, r = np.linalg.qr(raw)
+        m = keyed_normals(seed, (_PROBLEM_DOMAIN, _TAG_DESIGN, i), dim * dim).reshape(dim, dim)
+        if design_kind == "well_conditioned":
+            q, r = np.linalg.qr(m)
             q = q * np.sign(np.diag(r))  # canonical orthogonal factor
             s = 1.0 + keyed_uniforms(seed, (_PROBLEM_DOMAIN, _TAG_SINGULAR, i), dim)
             m = q @ np.diag(s)
-        noise = sigma_obs * keyed_normals_for(seed, (_TAG_OBS_NOISE, i), dim)
+        noise = sigma_obs * keyed_normals(seed, (_PROBLEM_DOMAIN, _TAG_OBS_NOISE, i), dim)
         y = m @ true_x + noise
         locs.append(QuadraticLocal.from_data(m, y))
     return ObjectiveSet.from_locals(locs), true_x
 
-
-def keyed_normals_for(seed: int, tags, count: int) -> np.ndarray:
-    """Standard normals on the problem-generation domain of the keyed RNG."""
-    state = np.uint64(fold_key(seed, (_PROBLEM_DOMAIN, *tags)))
-    return polar_normals(state, count)

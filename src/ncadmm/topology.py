@@ -80,15 +80,6 @@ class Graph:
         return 2 * len(self.edges)
 
     @cached_property
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        """Canonical arc order: edges in sorted order, (i, j) then (j, i)."""
-        out = []
-        for i, j in self.edges:
-            out.append((i, j))
-            out.append((j, i))
-        return tuple(out)
-
-    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for i, j in self.edges:
@@ -109,7 +100,8 @@ class Graph:
 class ArcMatrices:
     """Arc-incidence operators of a graph, held as tail/head index arrays.
 
-    Arc q runs from ``tail[q]`` to ``head[q]`` in the canonical arc order.
+    Arc q runs from ``tail[q]`` to ``head[q]`` in the canonical arc order
+    (see :func:`build_arc_matrices`).
     The ``apply_*`` methods take stacked variables whose last two axes are
     (N, n) for nodes or (2E, n) for arcs; leading axes are batch axes.
     """
@@ -265,7 +257,12 @@ def _is_connected(n_nodes, edges) -> bool:
 
 
 def build_arc_matrices(g: Graph) -> ArcMatrices:
-    """Tail/head index arrays in the canonical arc order."""
+    """Tail/head index arrays in the canonical arc order.
+
+    The order is the graph's sorted edge order, each edge (i, j) giving arc
+    (i, j) and then arc (j, i); arc 2q therefore runs from the smaller end
+    of edge q.
+    """
     edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
     return ArcMatrices(n_nodes=g.n_nodes, tail=edges.reshape(-1),
                        head=edges[:, ::-1].reshape(-1))

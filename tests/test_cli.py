@@ -106,6 +106,13 @@ class TestTheory:
         assert rc != 0
         assert "absent.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        assert main(["theory", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: config section must be a JSON object\n"
+
 
 class TestRun:
     def test_trajectory_csv_columns(self, tmp_path):
@@ -149,6 +156,18 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "delta_star=" in err
         assert "violations: contraction=0 x_bound=0" in err
+
+    def test_run_and_audit_agree_on_the_gate(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        cell = ["--config", str(cfg), "--cell", "0.2,0.001", "--model", "fixed_norm"]
+        assert main(["run", *cell, "--out", str(tmp_path / "run.csv")]) == 0
+        assert main(["audit", *cell, "--out", str(tmp_path / "audit.csv")]) == 0
+        run_rows = (tmp_path / "run.csv").read_text().splitlines()[1:-1]
+        audit_rows = (tmp_path / "audit.csv").read_text().splitlines()[1:]
+        run_gates = [row.split(",")[4] for row in run_rows]
+        audit_gates = [row.split(",")[2] for row in audit_rows]
+        assert {"0", "1"} <= set(run_gates)
+        assert run_gates == audit_gates
 
     def test_audit_handles_violated_conditions(self, tmp_path):
         # large c fails the squared condition; the slack column is left

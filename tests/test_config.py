@@ -59,6 +59,26 @@ class TestLoading:
             load_config(write(tmp_path, {"admm": {"c": [0.1, "x"]}}))
 
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"seed": 1.5}, "config.seed must be an integer"),
+        ({"seed": True}, "config.seed must be an integer"),
+        ({"graph": 5}, "config.graph has the wrong type"),
+        ({"graph": {"rho": "dense"}}, "graph.rho must be a number"),
+        ({"graph": {"rho": True}}, "graph.rho must be a number"),
+        ({"admm": {"c": 0.1}}, "admm.c has the wrong type"),
+        ({"admm": {"c": [0.1, "x"]}}, "admm.c entries must be numbers"),
+        ({"admm": {"c": [True]}}, "admm.c entries must be numbers"),
+        ({"noise": {"model": 3}}, "noise.model has the wrong type"),
+        ({"output": {"svg_path": 5}}, "output.svg_path has the wrong type"),
+        ({"seeed": 1}, "unknown field 'seeed' in config section"),
+        ({"graph": {"directed": 1}}, "unknown field 'directed' in graph section"),
+    ])
+    def test_rejection_messages(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, doc))
+        assert str(exc.value) == message
+
+
 class TestValidation:
     def test_rejects_empty_sweep_lists(self, tmp_path):
         with pytest.raises(ConfigError, match="admm.c"):

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from ncadmm.cli import main
 from ncadmm.config import (AdmmConfig, ExperimentConfig, GraphConfig,
                            NoiseConfig, OutputConfig, ProblemConfig)
 from ncadmm.experiment import (SweepResult, emit_csv, emit_svg, format_sci,
@@ -90,6 +93,27 @@ class TestRunExperiment:
         monkeypatch.setattr(exp, "run_trial", boom)
         with pytest.raises(RuntimeError, match="exploded"):
             exp.run_experiment(tiny_config(), quiet=True)
+
+    def test_non_finite_cell_fails_at_its_trial(self, tmp_path, capsys):
+        # E^DC overflows at k=1 of trial 0's first cell; the sweep stops
+        # there, without floating-point warnings and without writing a CSV
+        csv = tmp_path / "sweep.csv"
+        cfg = tiny_config(
+            seed=7, graph=GraphConfig(n_nodes=8, rho=0.5),
+            admm=AdmmConfig(c=(0.05, 0.5), max_iter=60),
+            noise=NoiseConfig(model="gaussian", sigma_e=(1e200,)),
+            output=OutputConfig(csv_path=str(csv), svg_path=None),
+        )
+        path = tmp_path / "cfg.json"
+        cfg.save(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: non-finite E^DC in trial 0 at c=0.05 "
+                            "sigma_e=1e+200, first at k=1\n")
+        assert "Warning" not in err
+        assert not csv.exists()
 
     def test_noiseless_cells_decay_monotonically_past_transient(self):
         # release-gating sanity property: with the noise switched off, every

@@ -14,10 +14,15 @@ def stream(**kw):
     return RandomStream(seed=42, **kw)
 
 
-def one_error(model, x, s):
-    """The error on node ``s.node``'s value ``x`` at iteration ``s.iteration``."""
-    x = np.asarray(x, dtype=float)[None, :]
-    return sample_error_block(model, x, s, s.iteration, nodes=np.array([s.node]))[0]
+def one_error(model, x, s, node=0, iteration=0):
+    """The error on node ``node``'s value ``x`` at ``iteration``.
+
+    Draws a block of ``node + 1`` rows, with ``x`` in row ``node``.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.zeros((node + 1, x.shape[0]))
+    rows[node] = x
+    return sample_error_block(model, rows, s, iteration)[node]
 
 
 class TestKeyedRng:
@@ -103,16 +108,16 @@ class TestNoiseModel:
 class TestDeterminism:
     def test_same_coordinates_same_draw(self):
         m = NoiseModel.gaussian(1.0)
-        a = one_error(m, np.zeros(3), stream(trial=1, node=4, iteration=9))
-        b = one_error(m, np.zeros(3), stream(trial=1, node=4, iteration=9))
+        a = one_error(m, np.zeros(3), stream(trial=1), node=4, iteration=9)
+        b = one_error(m, np.zeros(3), stream(trial=1), node=4, iteration=9)
         assert np.array_equal(a, b)
 
     def test_distinct_coordinates_differ(self):
         m = NoiseModel.gaussian(1.0)
-        base = stream(trial=1, cell=1, node=1, iteration=1)
-        draws = [one_error(m, np.zeros(3), base)]
-        for field in ("trial", "cell", "node", "iteration"):
-            draws.append(one_error(m, np.zeros(3), base.at(**{field: 2})))
+        base = dict(s=stream(trial=1, cell=1), node=1, iteration=1)
+        variants = [{}, {"s": stream(trial=2, cell=1)}, {"s": stream(trial=1, cell=2)},
+                    {"node": 2}, {"iteration": 2}]
+        draws = [one_error(m, np.zeros(3), **{**base, **v}) for v in variants]
         flat = [tuple(d) for d in draws]
         assert len(set(flat)) == len(flat)
 
@@ -121,7 +126,7 @@ class TestDeterminism:
         for m in (NoiseModel.gaussian(0.3), NoiseModel.fixed_norm(0.2),
                   NoiseModel.quantizer(0.1), NoiseModel.none()):
             blk = sample_error_block(m, x, stream(trial=2, cell=1), 6)
-            rows = [one_error(m, x[i], stream(trial=2, cell=1, node=i, iteration=6))
+            rows = [one_error(m, x[i], stream(trial=2, cell=1), node=i, iteration=6)
                     for i in range(5)]
             assert np.array_equal(blk, np.stack(rows)), m.kind
 
@@ -185,8 +190,8 @@ class TestDeriveEz:
        node=st.integers(min_value=0, max_value=1000),
        iteration=st.integers(min_value=0, max_value=10_000))
 def test_fixed_norm_property(sigma, node, iteration):
-    e = one_error(NoiseModel.fixed_norm(sigma), np.zeros(4),
-                     RandomStream(seed=5, node=node, iteration=iteration))
+    e = one_error(NoiseModel.fixed_norm(sigma), np.zeros(4), RandomStream(seed=5),
+                  node=node, iteration=iteration)
     assert np.linalg.norm(e) == pytest.approx(sigma, rel=1e-12)
 
 
@@ -194,8 +199,7 @@ def test_fixed_norm_property(sigma, node, iteration):
 @given(delta=st.floats(min_value=1e-3, max_value=100.0),
        value=st.floats(min_value=-1e6, max_value=1e6))
 def test_quantizer_property(delta, value):
-    e = one_error(NoiseModel.quantizer(delta), np.array([value]),
-                     RandomStream(seed=1))
+    e = one_error(NoiseModel.quantizer(delta), np.array([value]), RandomStream(seed=1))
     assert abs(e[0]) <= delta / 2 + 1e-9 * delta
     quantized = value + e[0]
     assert quantized / delta == pytest.approx(round(quantized / delta), abs=1e-6)

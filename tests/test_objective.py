@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from ncadmm.objective import (ObjectiveSet, QuadraticLocal, keyed_normals_for,
-                              make_problem)
+from ncadmm.noise import keyed_normals
+from ncadmm.objective import _PROBLEM_DOMAIN, ObjectiveSet, QuadraticLocal, make_problem
+
+
+def problem_normals(seed, tags, count):
+    """Normals on the problem-generation domain, as ``make_problem`` draws them."""
+    return keyed_normals(seed, (_PROBLEM_DOMAIN, *tags), count)
 
 
 def random_local(seed, m=3, n=3):
-    design = keyed_normals_for(seed, (100,), m * n).reshape(m, n)
-    obs = keyed_normals_for(seed, (101,), m)
+    design = problem_normals(seed, (100,), m * n).reshape(m, n)
+    obs = problem_normals(seed, (101,), m)
     return QuadraticLocal.from_data(design, obs)
 
 
@@ -22,7 +27,7 @@ class TestQuadraticLocal:
 
     def test_gradient_matches_finite_differences(self):
         loc = random_local(3)
-        x = keyed_normals_for(9, (1,), 3)
+        x = problem_normals(9, (1,), 3)
         grad = loc.gradient(x)
         h = 1e-6
         for j in range(3):
@@ -41,38 +46,6 @@ class TestQuadraticLocal:
         assert loc.moduli() == (1.0, 4.0)
 
 
-class TestXUpdate:
-    def test_scalar_hand_solve(self):
-        loc = QuadraticLocal.from_data(np.array([[1.0]]), np.array([0.0]))
-        out = loc.x_update(alpha_i=np.zeros(1), own_x=np.array([1.0]),
-                           neighbor_sum=np.array([1.0]), degree=1, c=1.0)
-        assert out[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
-
-    def test_consensus_fixed_point(self):
-        x_bar = np.array([0.3, -0.7])
-        loc = QuadraticLocal.from_data(np.eye(2), x_bar)  # gradient zero at x_bar
-        out = loc.x_update(np.zeros(2), x_bar, 3.0 * x_bar, degree=3, c=0.8)
-        assert np.allclose(out, x_bar, atol=1e-14)
-
-    def test_defining_equation_residual(self):
-        loc = random_local(7)
-        alpha = keyed_normals_for(8, (0,), 3)
-        own = keyed_normals_for(8, (1,), 3)
-        nbr = keyed_normals_for(8, (2,), 3)
-        c, degree = 0.37, 4
-        out = loc.x_update(alpha, own, nbr, degree, c)
-        residual = (loc.gram @ out + 2 * c * degree * out
-                    - (loc.rhs - alpha + c * (degree * own + nbr)))
-        assert np.linalg.norm(residual) < 1e-12
-
-    def test_rejects_bad_c_and_degree(self):
-        loc = random_local(2)
-        with pytest.raises(ValueError):
-            loc.x_update(np.zeros(3), np.zeros(3), np.zeros(3), degree=1, c=0.0)
-        with pytest.raises(ValueError):
-            loc.x_update(np.zeros(3), np.zeros(3), np.zeros(3), degree=0, c=1.0)
-
-
 class TestObjectiveSet:
     def test_identity_designs(self):
         obj = ObjectiveSet.from_locals(
@@ -87,7 +60,7 @@ class TestObjectiveSet:
     def test_moduli_bracket_rayleigh_quotient(self):
         obj, _ = make_problem(5, 3, 1e-3, "gaussian", seed=6)
         for i in range(10):
-            d = keyed_normals_for(50, (i,), 5 * 3).reshape(5, 3)
+            d = problem_normals(50, (i,), 5 * 3).reshape(5, 3)
             num = sum(float(d[j] @ obj.locals[j].gram @ d[j]) for j in range(5))
             den = float(np.sum(d * d))
             q = num / den
@@ -152,15 +125,3 @@ class TestMakeProblem:
         with pytest.raises(ValueError, match="design kind"):
             make_problem(3, 2, 0.0, "sparse", seed=1)
 
-
-class TestJsonRoundTrip:
-    def test_round_trip_preserves_data(self, tmp_path):
-        obj, _ = make_problem(3, 2, 1e-3, "gaussian", seed=11)
-        path = tmp_path / "problem.json"
-        obj.save(path)
-        loaded = ObjectiveSet.load(path)
-        assert loaded.dim == obj.dim
-        assert loaded.m_f == pytest.approx(obj.m_f, rel=1e-15)
-        for a, b in zip(obj.locals, loaded.locals):
-            assert np.array_equal(a.design, b.design)
-            assert np.array_equal(a.observation, b.observation)
