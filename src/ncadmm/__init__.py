@@ -15,7 +15,7 @@ from .analysis import (ContractionAudit, SteadyStateResult, TheoryReport,
 from .config import (ConfigError, ExperimentConfig, default_config,
                      full_config, load_config)
 from .experiment import SweepResult, emit_csv, emit_svg, run_experiment
-from .noise import NoiseModel, RandomStream, derive_seed
+from .noise import NoiseModel, RandomStream
 from .objective import ObjectiveSet, QuadraticLocal, make_problem
 from .topology import (ArcMatrices, Graph, GraphConnectivityError,
                        SpectralSummary, build_arc_matrices,

@@ -48,8 +48,8 @@ drawn once: in ``broadcast`` mode the error on the message carrying
 iterate k+1 is carried forward to the next x-update.
 
 A :class:`Trajectory` holds only engine state (iterates, per-node duals,
-error blocks and the initial arc dual); the arc variables z and beta are
-derived from the iterates on request.
+error blocks and the initial arc dual); :meth:`Trajectory.arc_states`
+streams the arc variables z and beta from it, one iteration at a time.
 """
 
 from __future__ import annotations
@@ -93,15 +93,10 @@ class Trajectory:
 
     Only engine state is stored.  ``e_xs[k]`` is the error block added to
     the messages carrying iterate k; ``alphas`` is the per-node dual the
-    engine carried.  The arc variables are pure functions of ``xs`` and the
-    initial arc dual ``beta0``:
-
-        zs[k]    = 0.5 * Mplus.T xs[k]
-        betas[k] = beta0 + (c/2) * sum_{j=1..k} Mminus.T xs[j]
-
-    ``alphas``/``e_xs``/``beta0`` are None for metric-only runs (record
-    "light"), and so are ``zs``/``betas``; analysis functions require a
-    full record.
+    engine carried; the arc variables follow from ``xs`` and the initial
+    arc dual ``beta0`` through :meth:`arc_states`.  ``alphas``/``e_xs``/
+    ``beta0`` are None for metric-only runs (record "light"); analysis
+    functions require a full record.
     """
 
     graph: Graph
@@ -120,20 +115,22 @@ class Trajectory:
     def n_iter(self) -> int:
         return self.xs.shape[0] - 1
 
-    @property
-    def zs(self) -> np.ndarray | None:
-        """Arc averages of the iterates, (K+1, 2E, n)."""
-        if self.beta0 is None:
-            return None
-        return 0.5 * build_arc_matrices(self.graph).apply_mplus_t(self.xs)
+    def arc_states(self):
+        """Yield the arc variables (z^k, beta^k) for k = 0..K, in iteration order:
 
-    @property
-    def betas(self) -> np.ndarray | None:
-        """Arc duals, (K+1, 2E, n), accumulated in iteration order."""
-        if self.beta0 is None:
-            return None
-        steps = (0.5 * self.c) * build_arc_matrices(self.graph).apply_mminus_t(self.xs[1:])
-        return np.cumsum(np.concatenate([self.beta0[None], steps]), axis=0)
+            z^k    = 0.5 * Mplus.T x^k
+            beta^k = beta^{k-1} + (c/2) * Mminus.T x^k,   beta^0 = beta0
+
+        Each pair is derived when it is reached, so no (K+1, 2E, n) history
+        is built.  Needs a full record.
+        """
+        self.require_full()
+        am = build_arc_matrices(self.graph)
+        beta = self.beta0
+        for k, x in enumerate(self.xs):
+            if k:
+                beta = beta + (0.5 * self.c) * am.apply_mminus_t(x)
+            yield 0.5 * am.apply_mplus_t(x), beta
 
     def require_full(self) -> None:
         if self.alphas is None or self.e_xs is None or self.beta0 is None:
@@ -164,10 +161,12 @@ def reference_point(g: Graph, obj: ObjectiveSet) -> ReferencePoint:
 
 def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
     """The squared weighted primal-dual error at every iteration."""
-    traj.require_full()
-    dz = traj.zs - ref.z_star
-    db = traj.betas - ref.beta_star
-    return traj.c * np.sum(dz * dz, axis=(1, 2)) + np.sum(db * db, axis=(1, 2)) / traj.c
+    out = np.empty(len(traj))
+    for k, (z, beta) in enumerate(traj.arc_states()):
+        dz = z - ref.z_star
+        db = beta - ref.beta_star
+        out[k] = traj.c * np.sum(dz * dz) + np.sum(db * db) / traj.c
+    return out
 
 
 def x_err_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:

@@ -179,13 +179,17 @@ class ContractionAudit:
 def error_gates(traj: Trajectory, xerr: np.ndarray) -> np.ndarray:
     """The error gate ||e_z^k|| <= ||x^{k+1} - x*|| at every step k, shape (K,).
 
-    ``xerr`` is :func:`x_err_series` of the same run.  e_z is the exact
-    arc-space error derived from the recorded noise realization, so the
-    trajectory needs a full record.
+    ``xerr`` is :func:`x_err_series` of the same run.  e_z^k is the exact
+    arc-space error derived, one step at a time, from the recorded noise
+    realization, so the trajectory needs a full record.
     """
     traj.require_full()
-    e_z = derive_ez_block(traj.e_xs, build_arc_matrices(traj.graph))
-    return np.sqrt(np.sum(e_z * e_z, axis=(1, 2))) <= xerr[1:]
+    am = build_arc_matrices(traj.graph)
+    gates = np.empty(traj.n_iter, dtype=bool)
+    for k, e_x in enumerate(traj.e_xs):
+        e_z = derive_ez_block(e_x, am)
+        gates[k] = np.sqrt(np.sum(e_z * e_z)) <= xerr[k + 1]
+    return gates
 
 
 def audit_contraction(traj: Trajectory, ref: ReferencePoint, report: TheoryReport) -> ContractionAudit:

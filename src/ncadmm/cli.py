@@ -28,7 +28,7 @@ from .analysis import (audit_contraction, edc_metric, error_gates,
 from .config import (ConfigError, ExperimentConfig, default_config,
                      full_config, load_config)
 from .experiment import (emit_csv, emit_svg, format_sci, preflight_reports,
-                         run_experiment, trial_instance)
+                         require_finite, run_experiment, trial_instance)
 from .noise import RandomStream
 # not called here; ncbench/tracing.py wraps cli.derive_ez_block and
 # cli.make_problem by name
@@ -170,10 +170,14 @@ def _cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
     cell_idx = _parse_cell(cfg, args.cell)
     g, obj, traj, ref, c, sigma_e = _cell_trajectory(cfg, cell_idx)
-    gnorm = gnorm_series(traj, ref)
-    xerr = x_err_series(traj, ref)
-    edc = edc_metric(traj, ref.x_central)
-    gates = error_gates(traj, xerr)
+    # overflow (a huge sigma_e, say) is reported once, by require_finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        gnorm = gnorm_series(traj, ref)
+        xerr = x_err_series(traj, ref)
+        edc = edc_metric(traj, ref.x_central)
+        gates = error_gates(traj, xerr)
+    for name, series in (("gnorm_sq", gnorm), ("x_err_2", xerr), ("edc_mean", edc)):
+        require_finite(series, f"{name} at c={c:g} sigma_e={sigma_e:g}")
     lines = ["k,gnorm_sq,x_err_2,edc_mean,gate_satisfied"]
     for k in range(len(traj)):
         gate = str(int(gates[k])) if k < traj.n_iter else ""
@@ -193,7 +197,11 @@ def _cmd_audit(args) -> int:
     spec = spectral_summary(build_arc_matrices(g))
     mu_star, delta_star = optimize_delta(spec, obj.m_f, obj.M_f, c)
     report = theory_constants(spec, obj.m_f, obj.M_f, c, mu_star, sigma_e=sigma_e)
-    audit = audit_contraction(traj, ref, report)
+    with np.errstate(over="ignore", invalid="ignore"):
+        audit = audit_contraction(traj, ref, report)
+    # skipped rows print no ratio; every other printed column is finite
+    require_finite(np.where(audit.skipped, 0.0, audit.ratios),
+                   f"gnorm_ratio at c={c:g} sigma_e={sigma_e:g}")
     lines = ["k,gnorm_ratio,gate_satisfied,skipped,checked,x_bound_slack,violation"]
     contraction = set(audit.contraction_violations)
     x_bound = set(audit.x_bound_violations)

@@ -22,7 +22,7 @@ import numpy as np
 from .admm import run_decentralized
 from .analysis import TheoryReport, edc_metric, optimize_delta, theory_constants
 from .config import ExperimentConfig
-from .noise import RandomStream, derive_seed
+from .noise import RandomStream, fold_key
 from .objective import ObjectiveSet, make_problem
 from .topology import (Graph, build_arc_matrices, gen_connected_graph,
                        spectral_summary)
@@ -50,8 +50,8 @@ class SweepResult:
 
 
 def trial_seeds(cfg: ExperimentConfig, trial: int) -> tuple[int, int]:
-    return (derive_seed(cfg.seed, _TRIAL_GRAPH, trial),
-            derive_seed(cfg.seed, _TRIAL_PROBLEM, trial))
+    return (fold_key(cfg.seed, (_TRIAL_GRAPH, trial)),
+            fold_key(cfg.seed, (_TRIAL_PROBLEM, trial)))
 
 
 def trial_instance(cfg: ExperimentConfig, trial: int) -> tuple[Graph, ObjectiveSet]:
@@ -87,17 +87,16 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> np.ndarray:
                 record="light",
             )
             curves[cell_idx] = edc_metric(traj, x_central)
-        finite = np.isfinite(curves[cell_idx])
-        if not finite.all():
-            raise ValueError(f"non-finite E^DC in trial {trial} at c={c:g} "
-                             f"sigma_e={sigma_e:g}, first at k={int(np.argmin(finite))}")
+        require_finite(curves[cell_idx],
+                       f"E^DC in trial {trial} at c={c:g} sigma_e={sigma_e:g}")
     return curves
 
 
-def _trial_worker(args) -> tuple[int, np.ndarray]:
-    cfg_doc, trial = args
-    cfg = ExperimentConfig.from_json_dict(cfg_doc)
-    return trial, run_trial(cfg, trial)
+def require_finite(series: np.ndarray, what: str) -> None:
+    """Reject a per-iteration series that is not finite, naming its first bad k."""
+    finite = np.isfinite(series)
+    if not finite.all():
+        raise ValueError(f"non-finite {what}, first at k={int(np.argmin(finite))}")
 
 
 def preflight_reports(cfg: ExperimentConfig) -> list[TheoryReport]:
@@ -132,15 +131,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, quiet: bool = False) ->
                       f"(cond_squared={report.cond_squared}, "
                       f"cond_linear={report.cond_linear})", file=sys.stderr)
 
-    per_trial: list[np.ndarray | None] = [None] * cfg.trials
     if jobs <= 1 or cfg.trials == 1:
-        for t in range(cfg.trials):
-            per_trial[t] = run_trial(cfg, t)
+        per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
     else:
-        doc = cfg.to_json_dict()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for t, curves in pool.map(_trial_worker, [(doc, t) for t in range(cfg.trials)]):
-                per_trial[t] = curves
+            per_trial = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
 
     stacked = np.stack(per_trial)  # (trials, n_cells, K+1)
     return SweepResult(

@@ -64,11 +64,6 @@ def fold_key(seed: int, coords) -> int:
     return h
 
 
-def derive_seed(seed: int, *coords) -> int:
-    """A child seed for an independent keyed substream."""
-    return fold_key(seed, coords)
-
-
 def _mix_u64(z: np.ndarray) -> np.ndarray:
     """Vectorized finalizer, identical to :func:`_mix` on uint64 arrays."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -159,9 +154,7 @@ def lane_states(stream: RandomStream, nodes: np.ndarray,
     the call at ``iteration[k]``.  The node and iteration fold steps run on
     uint64 arrays, everything else on exact Python integers.
     """
-    h = _mix((int(stream.seed) + _GOLDEN) & _MASK)
-    for pos, c in enumerate((_NOISE_DOMAIN, stream.trial, stream.cell)):
-        h = _mix(h ^ _mix(((pos + 1) * _GOLDEN + int(c)) & _MASK))
+    h = fold_key(stream.seed, (_NOISE_DOMAIN, stream.trial, stream.cell))
     node_term = np.uint64((4 * _GOLDEN) & _MASK) + np.asarray(nodes, dtype=np.uint64)
     h_arr = _mix_u64(np.uint64(h) ^ _mix_u64(node_term))
     iters = np.asarray(iteration, dtype=np.uint64)

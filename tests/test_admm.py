@@ -5,7 +5,7 @@ from ncadmm import admm
 from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, gnorm_series,
                          reference_point, run_decentralized, run_matrix_form,
                          x_err_series)
-from ncadmm.analysis import edc_metric
+from ncadmm.analysis import edc_metric, error_gates
 from ncadmm.noise import NoiseModel, RandomStream, sample_error_block
 from ncadmm.objective import ObjectiveSet, QuadraticLocal, make_problem
 from ncadmm.topology import Graph, build_arc_matrices, gen_connected_graph
@@ -15,6 +15,12 @@ def small_setup(seed=0, n_nodes=8, rho=0.4, design="well_conditioned"):
     g = gen_connected_graph(n_nodes, rho, seed=seed)
     obj, _ = make_problem(n_nodes, 3, 1e-3, design, seed=seed + 1000)
     return g, obj
+
+
+def arc_history(traj):
+    """The streamed arc states stacked: (zs, betas), each (K+1, 2E, n)."""
+    zs, betas = zip(*traj.arc_states())
+    return np.stack(zs), np.stack(betas)
 
 
 class TestReferencePoint:
@@ -85,8 +91,9 @@ class TestGnormDistance:
         for c in (0.5, 1.0, 2.0):
             traj = run_matrix_form(g, obj, c, NoiseModel.gaussian(0.1), 5,
                                    RandomStream(seed=2))
-            dz = float(np.sum((traj.zs[5] - ref.z_star) ** 2))
-            db = float(np.sum((traj.betas[5] - ref.beta_star) ** 2))
+            zs, betas = arc_history(traj)
+            dz = float(np.sum((zs[5] - ref.z_star) ** 2))
+            db = float(np.sum((betas[5] - ref.beta_star) ** 2))
             assert gnorm_series(traj, ref)[5] == pytest.approx(c * dz + db / c)
 
 
@@ -101,16 +108,18 @@ class TestEngineEquivalence:
             tm = run_matrix_form(g, obj, 0.7, model, 150, stream)
             assert np.max(np.abs(td.xs - tm.xs)) < 1e-10, model.kind
             assert np.max(np.abs(td.alphas - tm.alphas)) < 1e-10, model.kind
-            assert np.max(np.abs(td.zs - tm.zs)) < 1e-10, model.kind
-            assert np.max(np.abs(td.betas - tm.betas)) < 1e-10, model.kind
+            (zd, bd), (zm, bm) = arc_history(td), arc_history(tm)
+            assert np.max(np.abs(zd - zm)) < 1e-10, model.kind
+            assert np.max(np.abs(bd - bm)) < 1e-10, model.kind
 
     def test_alpha_is_mminus_beta_along_matrix_run(self):
         g, obj = small_setup(7)
         am = build_arc_matrices(g)
         traj = run_matrix_form(g, obj, 0.4, NoiseModel.gaussian(1e-2), 60,
                                RandomStream(seed=3))
+        _, betas = arc_history(traj)
         for k in (0, 15, 60):
-            assert np.allclose(traj.alphas[k], am.apply_mminus(traj.betas[k]),
+            assert np.allclose(traj.alphas[k], am.apply_mminus(betas[k]),
                                atol=1e-10)
 
     def test_modes_identical_without_noise(self):
@@ -224,8 +233,37 @@ class TestChunkedDraws:
         xs, e_xs, zs, betas = per_iteration_matrix_form(g, obj, 0.3, model, 100, stream)
         assert np.array_equal(traj.xs, xs)
         assert np.array_equal(traj.e_xs, e_xs)
-        assert np.array_equal(traj.zs, zs)
-        assert np.array_equal(traj.betas, betas)
+        traj_zs, traj_betas = arc_history(traj)
+        assert np.array_equal(traj_zs, zs)
+        assert np.array_equal(traj_betas, betas)
+
+    @pytest.mark.parametrize("engine", [ANALYSIS_FAITHFUL, BROADCAST, "matrix"])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_streamed_series_match_whole_block_formulas(self, instance, model, engine):
+        """gnorm and the gate equal the (K+1, 2E, n) formulas they stream, bit for bit."""
+        g, obj = instance
+        ref = reference_point(g, obj)
+        stream = RandomStream(seed=17, trial=1, cell=2)
+        if engine == "matrix":
+            traj = run_matrix_form(g, obj, 0.3, model, 100, stream)
+        else:
+            traj = run_decentralized(g, obj, 0.3, model, engine, 100, stream)
+        am = build_arc_matrices(g)
+        dz = 0.5 * am.apply_mplus_t(traj.xs) - ref.z_star
+        steps = (0.5 * traj.c) * am.apply_mminus_t(traj.xs[1:])
+        db = np.cumsum(np.concatenate([traj.beta0[None], steps]), axis=0) - ref.beta_star
+        gnorm = traj.c * np.sum(dz * dz, axis=(1, 2)) + np.sum(db * db, axis=(1, 2)) / traj.c
+        assert np.array_equal(gnorm_series(traj, ref), gnorm)
+
+        e_z = 0.5 * am.apply_mplus_t(traj.e_xs)
+        ez_norm = np.sqrt(np.sum(e_z * e_z, axis=(1, 2)))
+        xerr = x_err_series(traj, ref)
+        assert np.array_equal(error_gates(traj, xerr), ez_norm <= xerr[1:])
+        # thresholds at the whole-block norm and one ulp below it pin the
+        # streamed norm to that value exactly
+        at = np.concatenate([[0.0], ez_norm])
+        assert error_gates(traj, at).all()
+        assert not error_gates(traj, np.nextafter(at, -np.inf)).any()
 
 
 @pytest.mark.parametrize("mode, n_messages", [(ANALYSIS_FAITHFUL, 10), (BROADCAST, 11)])
@@ -269,7 +307,8 @@ class TestConvergence:
                                RandomStream(seed=9),
                                x0=ref.x_star, beta0=ref.beta_star)
         assert np.max(np.abs(traj.xs[1] - ref.x_star)) < 1e-10
-        assert np.max(np.abs(traj.betas[1] - ref.beta_star)) < 1e-10
+        _, betas = arc_history(traj)
+        assert np.max(np.abs(betas[1] - ref.beta_star)) < 1e-10
 
     def test_permutation_equivariance(self):
         g, obj = small_setup(14, n_nodes=6, rho=0.5)
@@ -320,7 +359,8 @@ class TestValidationAndRecording:
         g, obj = small_setup(18)
         traj = run_decentralized(g, obj, 0.5, NoiseModel.none(), ANALYSIS_FAITHFUL,
                                  10, RandomStream(seed=12), record="light")
-        assert traj.zs is None and traj.betas is None
+        with pytest.raises(ValueError, match="full"):
+            next(traj.arc_states())
         with pytest.raises(ValueError, match="full"):
             gnorm_series(traj, reference_point(g, obj))
 

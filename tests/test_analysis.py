@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncadmm.admm import (ANALYSIS_FAITHFUL, reference_point, run_decentralized,
-                         run_matrix_form)
-from ncadmm.analysis import (audit_contraction, edc_metric, mu_grid,
-                             optimize_delta, steady_state_check,
+from ncadmm.admm import (ANALYSIS_FAITHFUL, gnorm_series, reference_point,
+                         run_decentralized, run_matrix_form, x_err_series)
+from ncadmm.analysis import (audit_contraction, edc_metric, error_gates,
+                             mu_grid, optimize_delta, steady_state_check,
                              theory_constants)
 from ncadmm.noise import NoiseModel, RandomStream
 from ncadmm.objective import make_problem
@@ -287,3 +288,24 @@ class TestEdcMetric:
         traj = run_matrix_form(g, obj, c, NoiseModel.none(), 1, RandomStream(seed=13))
         with pytest.raises(ValueError, match="zero norm"):
             edc_metric(traj, np.zeros(3))
+
+
+def test_audit_series_build_no_arc_history():
+    """gnorm, ||x - x*|| and the gate stream over k: the peak stays near one x history.
+
+    At N=200 and rho=0.04 an arc-space (K+1, 2E, n) array is about eight x
+    histories, so building even one breaks the bound.
+    """
+    g = gen_connected_graph(200, 0.04, seed=5)
+    obj, _ = make_problem(200, 3, 1e-3, "well_conditioned", seed=6)
+    ref = reference_point(g, obj)
+    traj = run_decentralized(g, obj, 0.1, NoiseModel.fixed_norm(1e-3),
+                             ANALYSIS_FAITHFUL, 1000, RandomStream(seed=7))
+    tracemalloc.start()
+    try:
+        gnorm_series(traj, ref)
+        error_gates(traj, x_err_series(traj, ref))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * traj.xs.nbytes

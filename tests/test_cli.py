@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -180,6 +181,26 @@ class TestAudit:
         row = out.read_text().splitlines()[1].split(",")
         assert row[4] == "0"  # nothing checked under violated conditions
         assert row[5] == ""
+
+
+@pytest.mark.parametrize("command, message", [
+    ("run", "error: non-finite gnorm_sq at c=0.05 sigma_e=1e+200, first at k=1\n"),
+    ("audit", "error: non-finite gnorm_ratio at c=0.05 sigma_e=1e+200, first at k=0\n"),
+], ids=["run", "audit"])
+def test_non_finite_series_fail_cleanly(tmp_path, capsys, command, message):
+    # the iterates stay finite but every squared norm overflows from k=1:
+    # one error line naming the first bad printed row, no warnings, no CSV
+    cfg = small_config(tmp_path, seed=7, graph={"n_nodes": 8, "rho": 0.5},
+                       admm={"c": [0.05, 0.5], "max_iter": 60},
+                       noise={"model": "gaussian", "sigma_e": [1e200]})
+    out = tmp_path / "cell.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config", str(cfg), "--cell", "0.05,1e200",
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 class TestExperiment:

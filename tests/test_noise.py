@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncadmm.noise import (NoiseModel, RandomStream, derive_ez_block,
-                          derive_seed, fold_key, keyed_normals, keyed_uniforms,
+                          fold_key, keyed_normals, keyed_uniforms,
                           lane_states, polar_normals, sample_error_block)
 from ncadmm.noise import _NOISE_DOMAIN
 from ncadmm.topology import Graph, build_arc_matrices, gen_connected_graph
@@ -139,8 +139,8 @@ class TestDeterminism:
                     for k in iterations]
             assert np.array_equal(blk, np.stack(rows)), m.kind
 
-    def test_derive_seed_children_independent(self):
-        assert derive_seed(1, 10, 0) != derive_seed(1, 10, 1) != derive_seed(1, 11, 0)
+    def test_fold_key_children_independent(self):
+        assert fold_key(1, (10, 0)) != fold_key(1, (10, 1)) != fold_key(1, (11, 0))
 
 
 class TestDeriveEz:
