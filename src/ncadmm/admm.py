@@ -67,7 +67,8 @@ BROADCAST = "broadcast"
 PLACEMENT_MODES = (ANALYSIS_FAITHFUL, BROADCAST)
 
 # Node-iterations per chunked draw: keyed-normal throughput plateaus from
-# about 4k lanes, and a chunk of 8k lanes peaks near 1.5 MB at any N.
+# about 4k lanes, and a chunk of 8k lanes peaks near 1.5 MB at any N
+# (tracemalloc, n = 3: 1.48-1.52 MB for N in {20, 50, 200}).
 _CHUNK_LANES = 8192
 _STATE_FREE_KINDS = ("gaussian", "fixed_norm")
 
@@ -101,8 +102,6 @@ class Trajectory:
 
     graph: Graph
     c: float
-    mode: str
-    model: NoiseModel
     xs: np.ndarray                 # (K+1, N, n)
     alphas: np.ndarray | None      # (K+1, N, n)
     e_xs: np.ndarray | None        # (K, N, n)
@@ -291,8 +290,7 @@ def run_decentralized(
             e_xs[k] = e_k
         e_k = e_next
 
-    return Trajectory(graph=g, c=c, mode=mode, model=model,
-                      xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta0)
+    return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta0)
 
 
 def run_matrix_form(
@@ -302,7 +300,6 @@ def run_matrix_form(
     model: NoiseModel,
     max_iter: int,
     stream: RandomStream,
-    record: str = "full",
     x0: np.ndarray | None = None,
     beta0: np.ndarray | None = None,
 ) -> Trajectory:
@@ -310,8 +307,9 @@ def run_matrix_form(
 
     Consumes the identical error realization as :func:`run_decentralized`
     for the same stream, which makes the two engines cross-validating
-    implementations of the same dynamics.  ``beta0`` should lie in the row
-    space of Mminus (the zero default does) for the certificates to apply.
+    implementations of the same dynamics.  The record is always full.
+    ``beta0`` should lie in the row space of Mminus (the zero default does)
+    for the certificates to apply.
     """
     _check_run_args(g, obj, c, max_iter)
     n_nodes, dim = g.n_nodes, obj.dim
@@ -324,14 +322,11 @@ def run_matrix_form(
     beta_start = beta
     alpha = am.apply_mminus(beta)
 
-    full = record == "full"
     xs = np.empty((max_iter + 1, n_nodes, dim))
     xs[0] = x
-    alphas = e_xs = None
-    if full:
-        alphas = np.empty_like(xs)
-        alphas[0] = alpha
-        e_xs = np.empty((max_iter, n_nodes, dim))
+    alphas = np.empty_like(xs)
+    alphas[0] = alpha
+    e_xs = np.empty((max_iter, n_nodes, dim))
 
     error = _error_source(model, stream, n_nodes, max_iter)
     for k in range(max_iter):
@@ -343,10 +338,7 @@ def run_matrix_form(
         alpha = am.apply_mminus(beta)
 
         xs[k + 1] = x
-        if full:
-            alphas[k + 1] = alpha
-            e_xs[k] = e_k
+        alphas[k + 1] = alpha
+        e_xs[k] = e_k
 
-    return Trajectory(graph=g, c=c, mode=ANALYSIS_FAITHFUL, model=model,
-                      xs=xs, alphas=alphas, e_xs=e_xs,
-                      beta0=beta_start if full else None)
+    return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta_start)

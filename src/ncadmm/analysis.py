@@ -119,9 +119,9 @@ def theory_constants(
     )
 
 
-def mu_grid(points: int = DEFAULT_MU_GRID_POINTS) -> np.ndarray:
+def mu_grid() -> np.ndarray:
     """The documented certificate-search grid: mu = 1 + 10^t, t in [-3, 3]."""
-    return 1.0 + 10.0 ** np.linspace(-3.0, 3.0, points)
+    return 1.0 + 10.0 ** np.linspace(-3.0, 3.0, DEFAULT_MU_GRID_POINTS)
 
 
 def optimize_delta(

@@ -108,12 +108,16 @@ class ExperimentConfig:
             raise ConfigError(f"problem.design_kind must be one of {DESIGN_KINDS}")
         if not self.admm.c or any(v <= 0.0 for v in self.admm.c):
             raise ConfigError("admm.c must be a non-empty list of positive reals")
+        if len(set(self.admm.c)) < len(self.admm.c):
+            raise ConfigError("admm.c entries must be distinct")
         if self.admm.max_iter < 1:
             raise ConfigError("admm.max_iter must be >= 1")
         if self.noise.model not in NOISE_KINDS:
             raise ConfigError(f"noise.model must be one of {NOISE_KINDS}")
         if not self.noise.sigma_e or any(v < 0.0 for v in self.noise.sigma_e):
             raise ConfigError("noise.sigma_e must be a non-empty list of nonnegative reals")
+        if len(set(self.noise.sigma_e)) < len(self.noise.sigma_e):
+            raise ConfigError("noise.sigma_e entries must be distinct")
         if self.noise.delta < 0.0:
             raise ConfigError("noise.delta must be nonnegative")
         if self.noise.placement_mode not in PLACEMENT_MODES:

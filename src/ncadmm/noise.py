@@ -14,7 +14,9 @@ stream: pair p of a draw takes attempts a = 0, 1, ... where attempt a reads
 uniforms at counters 2*(a*P + p) and 2*(a*P + p) + 1 (P = number of pairs),
 maps them to u, v in [-1, 1), and accepts when 0 < s = u*u + v*v < 1 giving
 the two normals u*f, v*f with f = sqrt(-2 ln(s) / s).  Per-pair counter
-lanes keep the scheme fully vectorizable without changing any draw.
+lanes keep the scheme fully vectorizable without changing any draw: each
+round draws uniforms only for the pairs still pending, over every lane at
+once, and drops the pairs it accepts.
 
 Error vectors are keyed by (seed, trial, cell, node, iteration), so the two
 solver engines and both noise-placement modes replay the identical error
@@ -71,14 +73,10 @@ def _mix_u64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _raw_block(states: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Vectorized u64 outputs for broadcastable state/counter arrays."""
-    z = states.astype(np.uint64) + (counters.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
-    return _mix_u64(z)
-
-
 def _uniform_block(states: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    return (_raw_block(states, counters) >> np.uint64(11)) * 2.0 ** -53
+    """Uniforms in [0, 1) for broadcastable uint64 state/counter arrays."""
+    raw = _mix_u64(states + (counters + np.uint64(1)) * np.uint64(_GOLDEN))
+    return (raw >> np.uint64(11)) * 2.0 ** -53
 
 
 def keyed_uniforms(seed: int, coords, count: int) -> np.ndarray:
@@ -88,40 +86,35 @@ def keyed_uniforms(seed: int, coords, count: int) -> np.ndarray:
 
 
 def polar_normals(states, count: int) -> np.ndarray:
-    """Standard normals for one or many substreams via the polar transform.
+    """Standard normals for any array of substream states via the polar transform.
 
-    ``states`` is a scalar or (L,) array of substream states; the result has
-    shape (count,) or (L, count).  Lane l, position t is a pure function of
-    (states[l], t).
+    The result has shape ``states.shape + (count,)``, and entry [..., t] is
+    a pure function of (states[...], t).  The pairs still pending are kept
+    as a list of flat indices lane * P + pair; each round draws uniforms
+    only for them, writes the accepted ones into place and drops them from
+    the list.
     """
-    scalar_in = np.asarray(states).ndim == 0
-    states_arr = np.atleast_1d(np.asarray(states, dtype=np.uint64))
-    lanes = states_arr.shape[0]
+    states = np.asarray(states, dtype=np.uint64)
+    flat = states.reshape(-1)
     pairs = (count + 1) // 2
-    out = np.zeros((lanes, 2 * pairs))
-    out_even = out[:, 0::2]
-    out_odd = out[:, 1::2]
-    st = states_arr[:, None]                      # (L, 1)
-    pair_idx = np.arange(pairs, dtype=np.uint64)  # (P,)
-    pending = np.ones((lanes, pairs), dtype=bool)
+    out = np.empty((flat.size * pairs, 2))
+    pending = np.arange(out.shape[0])
     for attempt in range(_MAX_POLAR_ROUNDS):
-        base = np.uint64(2) * (np.uint64(attempt) * np.uint64(pairs) + pair_idx)
+        st = flat[pending // pairs]
+        base = (2 * (attempt * pairs + pending % pairs)).astype(np.uint64)
         u = 2.0 * _uniform_block(st, base) - 1.0
         v = 2.0 * _uniform_block(st, base + np.uint64(1)) - 1.0
         s = u * u + v * v
-        accept = pending & (s > 0.0) & (s < 1.0)
-        if accept.any():
-            s_acc = s[accept]
-            f = np.sqrt(-2.0 * np.log(s_acc) / s_acc)
-            out_even[accept] = u[accept] * f
-            out_odd[accept] = v[accept] * f
-            pending &= ~accept
-        if not pending.any():
-            break
-    else:
-        raise RuntimeError("polar sampling failed to accept after many rounds")
-    result = out[:, :count]
-    return result[0] if scalar_in else result
+        accept = (s > 0.0) & (s < 1.0)
+        s = s[accept]
+        f = np.sqrt(-2.0 * np.log(s) / s)
+        done = pending[accept]
+        out[done, 0] = u[accept] * f
+        out[done, 1] = v[accept] * f
+        pending = pending[~accept]
+        if not pending.size:
+            return out.reshape(states.shape + (2 * pairs,))[..., :count]
+    raise RuntimeError("polar sampling failed to accept after many rounds")
 
 
 def keyed_normals(seed: int, coords, count: int) -> np.ndarray:
@@ -226,15 +219,15 @@ def sample_error_block(
         quantized = model.delta * (np.sign(t) * np.floor(np.abs(t) + 0.5))
         return np.broadcast_to(quantized - x_nodes, shape).copy()
 
-    normals = polar_normals(lane_states(stream, np.arange(n_rows), iteration).reshape(-1), dim)
+    normals = polar_normals(lane_states(stream, np.arange(n_rows), iteration), dim)
     if model.kind == "gaussian":
-        return (model.sigma_e * normals).reshape(shape)
+        return model.sigma_e * normals
     # fixed_norm: normalize each row to sigma_e exactly
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    norms = np.linalg.norm(normals, axis=-1, keepdims=True)
     # an all-zero draw has probability zero; fall back to a fixed direction
     safe = np.where(norms > 0.0, norms, 1.0)
     directions = np.where(norms > 0.0, normals / safe, _unit_first_axis(dim))
-    return (model.sigma_e * directions).reshape(shape)
+    return model.sigma_e * directions
 
 
 def _unit_first_axis(dim: int) -> np.ndarray:

@@ -72,6 +72,8 @@ class TestLoading:
         ({"output": {"svg_path": 5}}, "output.svg_path has the wrong type"),
         ({"seeed": 1}, "unknown field 'seeed' in config section"),
         ({"graph": {"directed": 1}}, "unknown field 'directed' in graph section"),
+        ({"admm": {"c": [0.5, 0.5]}}, "admm.c entries must be distinct"),
+        ({"noise": {"sigma_e": [1e-3, 1e-2, 1e-3]}}, "noise.sigma_e entries must be distinct"),
     ])
     def test_rejection_messages(self, tmp_path, doc, message):
         with pytest.raises(ConfigError) as exc:

@@ -3,11 +3,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncadmm import noise
 from ncadmm.noise import (NoiseModel, RandomStream, derive_ez_block,
                           fold_key, keyed_normals, keyed_uniforms,
                           lane_states, polar_normals, sample_error_block)
 from ncadmm.noise import _NOISE_DOMAIN
 from ncadmm.topology import Graph, build_arc_matrices, gen_connected_graph
+
+
+def masked_polar_normals(states, count):
+    """The full-width sampler: every round tests all (lane, pair) slots, masked.
+
+    Reference for :func:`polar_normals`, which must give the same bits.
+    """
+    scalar_in = np.asarray(states).ndim == 0
+    st = np.atleast_1d(np.asarray(states, dtype=np.uint64))[:, None]
+    pairs = (count + 1) // 2
+    out = np.zeros((st.shape[0], 2 * pairs))
+    pair_idx = np.arange(pairs, dtype=np.uint64)
+    pending = np.ones((st.shape[0], pairs), dtype=bool)
+    for attempt in range(noise._MAX_POLAR_ROUNDS):
+        base = np.uint64(2) * (np.uint64(attempt) * np.uint64(pairs) + pair_idx)
+        u = 2.0 * noise._uniform_block(st, base) - 1.0
+        v = 2.0 * noise._uniform_block(st, base + np.uint64(1)) - 1.0
+        s = u * u + v * v
+        accept = pending & (s > 0.0) & (s < 1.0)
+        f = np.sqrt(-2.0 * np.log(s[accept]) / s[accept])
+        out[:, 0::2][accept] = u[accept] * f
+        out[:, 1::2][accept] = v[accept] * f
+        pending &= ~accept
+        if not pending.any():
+            break
+    else:
+        raise RuntimeError("polar sampling failed to accept after many rounds")
+    result = out[:, :count]
+    return result[0] if scalar_in else result
 
 
 def stream(**kw):
@@ -52,9 +82,27 @@ class TestKeyedRng:
 
     def test_polar_normals_scalar_vs_lanes(self):
         states = np.array([fold_key(5, (i,)) for i in range(6)], dtype=np.uint64)
-        block = polar_normals(states, 5)
-        for i, s in enumerate(states):
-            assert np.array_equal(polar_normals(s, 5), block[i])
+        for count in (1, 4, 5):
+            block = polar_normals(states, count)
+            assert np.array_equal(block, masked_polar_normals(states, count))
+            for i, s in enumerate(states):
+                one = polar_normals(s, count)
+                assert np.array_equal(one, block[i])
+                assert np.array_equal(one, masked_polar_normals(s, count))
+
+    def test_polar_normals_keep_the_lane_grid_shape(self):
+        grid = lane_states(stream(trial=2), np.arange(200), np.arange(40))
+        block = polar_normals(grid, 3)
+        assert block.shape == (40, 200, 3)
+        flat = masked_polar_normals(grid.reshape(-1), 3)
+        assert np.array_equal(block, flat.reshape(40, 200, 3))
+        assert np.array_equal(block, polar_normals(grid.reshape(-1), 3).reshape(40, 200, 3))
+
+    def test_polar_sampling_gives_up_after_its_round_limit(self, monkeypatch):
+        monkeypatch.setattr(noise, "_MAX_POLAR_ROUNDS", 1)
+        states = np.array([fold_key(6, (i,)) for i in range(1000)], dtype=np.uint64)
+        with pytest.raises(RuntimeError, match="polar sampling failed to accept"):
+            polar_normals(states, 2)
 
     def test_gaussian_moments(self):
         states = np.array([fold_key(11, (i,)) for i in range(50_000)], dtype=np.uint64)
