@@ -16,7 +16,7 @@ from .config import (ConfigError, ExperimentConfig, default_config,
                      full_config, load_config)
 from .experiment import SweepResult, emit_csv, emit_svg, run_experiment
 from .noise import NoiseModel, RandomStream
-from .objective import ObjectiveSet, QuadraticLocal, make_problem
+from .objective import ObjectiveSet, make_problem
 from .topology import (ArcMatrices, Graph, GraphConnectivityError,
                        SpectralSummary, build_arc_matrices,
                        check_laplacian_bound, gen_connected_graph,

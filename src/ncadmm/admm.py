@@ -181,12 +181,8 @@ def _solve_operators(g: Graph, obj: ObjectiveSet, c: float) -> np.ndarray:
     definite, so a one-time inverse applied per step is both cheap and
     stable.
     """
-    eye = np.eye(obj.dim)
-    mats = np.stack([
-        loc.gram + (2.0 * c * d) * eye
-        for loc, d in zip(obj.locals, g.degrees)
-    ])
-    return np.linalg.inv(mats)
+    shifts = (2.0 * c * g.degrees)[:, None, None] * np.eye(obj.dim)
+    return np.linalg.inv(obj.grams + shifts)
 
 
 def _error_source(model: NoiseModel, stream: RandomStream, n_nodes: int, n_draws: int):
@@ -250,7 +246,6 @@ def run_decentralized(
     offsets = np.zeros(n_nodes, dtype=np.intp)
     np.cumsum(g.degrees[:-1], out=offsets[1:])
     inv_ops = _solve_operators(g, obj, c)
-    rhs_const = np.stack([loc.rhs for loc in obj.locals])
 
     full = record == "full"
     x = np.zeros((n_nodes, dim))
@@ -276,7 +271,7 @@ def run_decentralized(
     for k in range(max_iter):
         x_hat = x + e_k
         own = x_hat if mode == ANALYSIS_FAITHFUL else x
-        rhs = rhs_const - alpha + c * (degrees * own + nbr_sum(x_hat))
+        rhs = obj.rhs - alpha + c * (degrees * own + nbr_sum(x_hat))
         x_new = np.einsum("nij,nj->ni", inv_ops, rhs)
         e_next = error(k + 1, x_new) if k + 1 < n_draws else None
 
@@ -315,7 +310,6 @@ def run_matrix_form(
     n_nodes, dim = g.n_nodes, obj.dim
     am = build_arc_matrices(g)
     inv_ops = _solve_operators(g, obj, c)
-    rhs_const = np.stack([loc.rhs for loc in obj.locals])
 
     x = np.zeros((n_nodes, dim)) if x0 is None else np.array(x0, dtype=float)
     beta = np.zeros((g.n_arcs, dim)) if beta0 is None else np.array(beta0, dtype=float)
@@ -332,7 +326,7 @@ def run_matrix_form(
     for k in range(max_iter):
         e_k = error(k, x)
         z_hat = 0.5 * am.apply_mplus_t(x + e_k)
-        rhs = rhs_const - alpha + c * am.apply_mplus(z_hat)
+        rhs = obj.rhs - alpha + c * am.apply_mplus(z_hat)
         x = np.einsum("nij,nj->ni", inv_ops, rhs)
         beta = beta + (0.5 * c) * am.apply_mminus_t(x)
         alpha = am.apply_mminus(beta)

@@ -82,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--full", action="store_true",
                            help="use the large profile (200 nodes, 100 trials)")
             p.add_argument("--jobs", type=int,
-                           default=_env_jobs(),
                            help="concurrent trials (env NCADMM_JOBS as fallback)")
             p.add_argument("--csv", help="override output.csv_path")
             p.add_argument("--svg", help="override output.svg_path")
@@ -221,8 +220,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    jobs = _env_jobs() if args.jobs is None else args.jobs
     cfg = _load_with_overrides(args)
-    result = run_experiment(cfg, jobs=max(1, args.jobs))
+    result = run_experiment(cfg, jobs=max(1, jobs))
     emit_csv(result, cfg.output.csv_path)
     print(f"wrote {cfg.output.csv_path} "
           f"({len(result.cells)} cells x {result.trials} trials, "
@@ -246,7 +246,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, OSError, GraphConnectivityError) as err:
+    except (ConfigError, ValueError, OSError, GraphConnectivityError,
+            MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,10 @@ lanes keep the scheme fully vectorizable without changing any draw: each
 round draws uniforms only for the pairs still pending, over every lane at
 once, and drops the pairs it accepts.
 
+Array coordinates (node, iteration) fold in one uint64 array step each
+(:func:`fold_lanes`, equal to :func:`fold_key` entry by entry); the error
+draws and the problem generator share that step.
+
 Error vectors are keyed by (seed, trial, cell, node, iteration), so the two
 solver engines and both noise-placement modes replay the identical error
 realization, and Monte Carlo trials can run concurrently without shared
@@ -79,10 +83,30 @@ def _uniform_block(states: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)) * 2.0 ** -53
 
 
+def fold_lanes(seed: int, coords, *lanes) -> np.ndarray:
+    """Substream states over arrays of trailing coordinates.
+
+    ``coords`` folds as in :func:`fold_key`, on exact Python integers; each
+    lane array then folds at the next position in one uint64 array step,
+    and the lanes broadcast: entry [k, j] of ``fold_lanes(seed, coords, a,
+    b[:, None])`` equals ``fold_key(seed, coords + (a[j], b[k]))``.
+    """
+    h = np.uint64(fold_key(seed, coords))
+    for pos, lane in enumerate(lanes, start=len(coords)):
+        term = np.uint64(((pos + 1) * _GOLDEN) & _MASK) + np.asarray(lane, dtype=np.uint64)
+        h = _mix_u64(h ^ _mix_u64(term))
+    return h
+
+
+def uniforms(states, count: int) -> np.ndarray:
+    """``count`` uniforms in [0, 1) per substream state: ``states.shape + (count,)``."""
+    states = np.asarray(states, dtype=np.uint64)
+    return _uniform_block(states[..., None], np.arange(count, dtype=np.uint64))
+
+
 def keyed_uniforms(seed: int, coords, count: int) -> np.ndarray:
     """``count`` uniforms in [0, 1) from the substream (seed, coords)."""
-    state = np.array(fold_key(seed, coords), dtype=np.uint64)
-    return _uniform_block(state, np.arange(count, dtype=np.uint64))
+    return uniforms(fold_key(seed, coords), count)
 
 
 def polar_normals(states, count: int) -> np.ndarray:
@@ -144,15 +168,10 @@ def lane_states(stream: RandomStream, nodes: np.ndarray,
     For an integer ``iteration`` the result has shape (N,) and entry i equals
     ``fold_key(seed, (noise-domain, trial, cell, nodes[i], iteration))``.
     For a 1-D array of K iterations it has shape (K, N), and row k equals
-    the call at ``iteration[k]``.  The node and iteration fold steps run on
-    uint64 arrays, everything else on exact Python integers.
+    the call at ``iteration[k]``.
     """
-    h = fold_key(stream.seed, (_NOISE_DOMAIN, stream.trial, stream.cell))
-    node_term = np.uint64((4 * _GOLDEN) & _MASK) + np.asarray(nodes, dtype=np.uint64)
-    h_arr = _mix_u64(np.uint64(h) ^ _mix_u64(node_term))
-    iters = np.asarray(iteration, dtype=np.uint64)
-    iter_mixed = _mix_u64(np.uint64((5 * _GOLDEN) & _MASK) + iters.reshape(-1))
-    return _mix_u64(h_arr ^ iter_mixed[:, None]).reshape(iters.shape + h_arr.shape)
+    return fold_lanes(stream.seed, (_NOISE_DOMAIN, stream.trial, stream.cell),
+                      nodes, np.expand_dims(iteration, -1))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
-"""Per-node quadratic objectives for distributed least-squares estimation.
+"""The stacked quadratic objective of distributed least-squares estimation.
 
 Node i holds f_i(x) = 0.5 * ||y_i - M_i x||^2 with design M_i and
-observation y_i.  The module carries everything the solvers and the
-convergence certificates need: gradients, the aggregate strong-convexity /
-gradient-Lipschitz moduli (min/max of the local Gram eigenvalues, since the
-stacked Hessian is block diagonal), and the centralized reference solution
-of the pooled normal equations.  The engines build the per-node x-update
-solve themselves from each local's Gram matrix.
+observation y_i.  :class:`ObjectiveSet` stacks the N locals on axis 0 of
+its designs, observations, Gram matrices and normal-equation right-hand
+sides, and carries what the solvers and the convergence certificates need:
+stacked gradients, the aggregate strong-convexity / gradient-Lipschitz
+moduli (min/max of the local Gram eigenvalues, since the stacked Hessian is
+block diagonal) and the centralized solution of the pooled normal
+equations.  :func:`make_problem` draws every node in one pass, from the
+substreams (seed, problem-domain, tag, i).
 
-The interface would admit other smooth strongly convex locals, but only the
-quadratic instance is implemented; a general local would need an inner
-solver for the x-update.
+Only the quadratic instance is implemented; a general smooth strongly
+convex local would need an inner solver for the x-update.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import keyed_normals, keyed_uniforms
+from .noise import fold_lanes, keyed_normals, polar_normals, uniforms
 
 _PROBLEM_DOMAIN = 2
 _TAG_DESIGN = 0
@@ -31,78 +32,52 @@ DESIGN_KINDS = ("gaussian", "well_conditioned")
 
 
 @dataclass(frozen=True, eq=False)
-class QuadraticLocal:
-    """One node's term 0.5 * ||y - M x||^2 with precomputed normal-equation data."""
-
-    design: np.ndarray       # (m, n)
-    observation: np.ndarray  # (m,)
-    gram: np.ndarray         # (n, n) = M.T @ M
-    rhs: np.ndarray          # (n,)   = M.T @ y
-
-    @classmethod
-    def from_data(cls, design, observation) -> "QuadraticLocal":
-        design = np.asarray(design, dtype=float)
-        observation = np.asarray(observation, dtype=float)
-        if design.ndim != 2 or observation.shape != (design.shape[0],):
-            raise ValueError(
-                f"design {design.shape} and observation {observation.shape} do not match"
-            )
-        return cls(design=design, observation=observation,
-                   gram=design.T @ design, rhs=design.T @ observation)
-
-    @property
-    def dim(self) -> int:
-        return self.design.shape[1]
-
-    def value(self, x: np.ndarray) -> float:
-        r = self.observation - self.design @ x
-        return 0.5 * float(r @ r)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected x of shape ({self.dim},), got {x.shape}")
-        return self.gram @ x - self.rhs
-
-    def moduli(self) -> tuple[float, float]:
-        """(smallest, largest) Gram eigenvalue: local strong convexity and
-        gradient Lipschitz constants."""
-        w = np.linalg.eigvalsh(self.gram)
-        return float(max(w[0], 0.0)), float(w[-1])
-
-
-@dataclass(frozen=True, eq=False)
 class ObjectiveSet:
-    """The stacked objective sum_i f_i with aggregate moduli.
+    """The stacked objective sum_i f_i; every array stacks the nodes on axis 0.
 
-    m_f = min_i lambda_min(gram_i), M_f = max_i lambda_max(gram_i);
-    the block-diagonal stacked Hessian makes these the aggregate strong
-    convexity and gradient Lipschitz constants.
+    m_f = min_i lambda_min(gram_i) (clipped at 0), M_f = max_i
+    lambda_max(gram_i); the block-diagonal stacked Hessian makes these the
+    aggregate strong convexity and gradient Lipschitz constants.
     """
 
-    locals: tuple[QuadraticLocal, ...]
-    dim: int
+    designs: np.ndarray       # (N, m, n)
+    observations: np.ndarray  # (N, m)
+    grams: np.ndarray         # (N, n, n) = M_i.T @ M_i
+    rhs: np.ndarray           # (N, n)    = M_i.T @ y_i
     m_f: float
     M_f: float
 
     @classmethod
-    def from_locals(cls, locals_) -> "ObjectiveSet":
-        locals_ = tuple(locals_)
-        if not locals_:
+    def from_data(cls, designs, observations) -> "ObjectiveSet":
+        designs = np.asarray(designs, dtype=float)
+        observations = np.asarray(observations, dtype=float)
+        if designs.ndim != 3 or observations.shape != designs.shape[:2]:
+            raise ValueError(
+                f"designs {designs.shape} and observations {observations.shape} do not match"
+            )
+        if not designs.shape[0]:
             raise ValueError("need at least one local objective")
-        dim = locals_[0].dim
-        if any(loc.dim != dim for loc in locals_):
-            raise ValueError("all locals must share the variable dimension")
-        lo, hi = zip(*(loc.moduli() for loc in locals_))
-        return cls(locals=locals_, dim=dim, m_f=min(lo), M_f=max(hi))
+        transposed = designs.transpose(0, 2, 1)
+        grams = transposed @ designs
+        eigs = np.linalg.eigvalsh(grams)
+        return cls(designs=designs, observations=observations, grams=grams,
+                   rhs=(transposed @ observations[..., None])[..., 0],
+                   m_f=float(max(eigs[:, 0].min(), 0.0)), M_f=float(eigs[:, -1].max()))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.locals)
+        return self.designs.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.designs.shape[2]
 
     def gradient_stack(self, x_nodes: np.ndarray) -> np.ndarray:
-        """Per-node gradients for an (N, n) iterate block."""
-        return np.stack([loc.gradient(x_nodes[i]) for i, loc in enumerate(self.locals)])
+        """Per-node gradients gram_i x_i - rhs_i for an (N, n) iterate block."""
+        x_nodes = np.asarray(x_nodes, dtype=float)
+        if x_nodes.shape != self.rhs.shape:
+            raise ValueError(f"expected x of shape {self.rhs.shape}, got {x_nodes.shape}")
+        return (self.grams @ x_nodes[..., None])[..., 0] - self.rhs
 
     def centralized_solution(self) -> np.ndarray:
         """Minimizer of the pooled problem: solve (sum gram_i) x = sum rhs_i.
@@ -110,8 +85,9 @@ class ObjectiveSet:
         Raises when the aggregate Gram is singular; the result is checked to
         satisfy the pooled normal equations to 1e-10 relative.
         """
-        gram = sum(loc.gram for loc in self.locals)
-        rhs = sum(loc.rhs for loc in self.locals)
+        # cumsum adds the nodes in order; a reduction over axis 0 may pair them
+        gram = self.grams.cumsum(axis=0)[-1]
+        rhs = self.rhs.cumsum(axis=0)[-1]
         try:
             x = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError as err:
@@ -151,17 +127,15 @@ def make_problem(
         raise ValueError("obs_noise_var must be nonnegative")
 
     true_x = keyed_normals(seed, (_PROBLEM_DOMAIN, _TAG_TRUE_X), dim)
-    sigma_obs = float(np.sqrt(obs_noise_var))
-    locs = []
-    for i in range(n_nodes):
-        m = keyed_normals(seed, (_PROBLEM_DOMAIN, _TAG_DESIGN, i), dim * dim).reshape(dim, dim)
-        if design_kind == "well_conditioned":
-            q, r = np.linalg.qr(m)
-            q = q * np.sign(np.diag(r))  # canonical orthogonal factor
-            s = 1.0 + keyed_uniforms(seed, (_PROBLEM_DOMAIN, _TAG_SINGULAR, i), dim)
-            m = q @ np.diag(s)
-        noise = sigma_obs * keyed_normals(seed, (_PROBLEM_DOMAIN, _TAG_OBS_NOISE, i), dim)
-        y = m @ true_x + noise
-        locs.append(QuadraticLocal.from_data(m, y))
-    return ObjectiveSet.from_locals(locs), true_x
-
+    nodes = np.arange(n_nodes)
+    designs = polar_normals(fold_lanes(seed, (_PROBLEM_DOMAIN, _TAG_DESIGN), nodes),
+                            dim * dim).reshape(n_nodes, dim, dim)
+    if design_kind == "well_conditioned":
+        q, r = np.linalg.qr(designs)
+        # canonical orthogonal factors
+        q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        s = 1.0 + uniforms(fold_lanes(seed, (_PROBLEM_DOMAIN, _TAG_SINGULAR), nodes), dim)
+        designs = q * s[:, None, :]
+    noise = float(np.sqrt(obs_noise_var)) * polar_normals(
+        fold_lanes(seed, (_PROBLEM_DOMAIN, _TAG_OBS_NOISE), nodes), dim)
+    return ObjectiveSet.from_data(designs, designs @ true_x + noise), true_x

@@ -7,7 +7,7 @@ from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, gnorm_series,
                          x_err_series)
 from ncadmm.analysis import edc_metric, error_gates
 from ncadmm.noise import NoiseModel, RandomStream, sample_error_block
-from ncadmm.objective import ObjectiveSet, QuadraticLocal, make_problem
+from ncadmm.objective import ObjectiveSet, make_problem
 from ncadmm.topology import Graph, build_arc_matrices, gen_connected_graph
 
 
@@ -75,8 +75,7 @@ class TestGnormDistance:
 
     def test_weighted_combination(self):
         g = Graph.from_edges(2, [(0, 1)])
-        obj = ObjectiveSet.from_locals(
-            [QuadraticLocal.from_data(np.eye(1), np.zeros(1)) for _ in range(2)])
+        obj = ObjectiveSet.from_data(np.ones((2, 1, 1)), np.zeros((2, 1)))
         ref = reference_point(g, obj)
         # ||z - z*||^2 = 1, ||beta - beta*||^2 = 4 by direct construction
         traj = run_matrix_form(g, obj, 2.0, NoiseModel.none(), 1,
@@ -151,9 +150,7 @@ def per_iteration_decentralized(g, obj, c, model, mode, max_iter, stream):
     degrees = g.degrees.astype(float)[:, None]
     flat_nbrs = np.concatenate([np.array(nb, dtype=np.intp) for nb in g.neighbors])
     offsets = np.concatenate([[0], np.cumsum(g.degrees[:-1])]).astype(np.intp)
-    inv_ops = np.linalg.inv(np.stack([loc.gram + (2.0 * c * d) * np.eye(obj.dim)
-                                      for loc, d in zip(obj.locals, g.degrees)]))
-    rhs_const = np.stack([loc.rhs for loc in obj.locals])
+    inv_ops = np.linalg.inv(obj.grams + (2.0 * c * g.degrees)[:, None, None] * np.eye(obj.dim))
     x = np.zeros((g.n_nodes, obj.dim))
     alpha = np.zeros_like(x)
     xs, e_xs = [x], []
@@ -165,7 +162,7 @@ def per_iteration_decentralized(g, obj, c, model, mode, max_iter, stream):
         e_k = sample_error_block(model, x, stream, k)
         x_hat = x + e_k
         own = x_hat if mode == ANALYSIS_FAITHFUL else x
-        rhs = rhs_const - alpha + c * (degrees * own + nbr_sum(x_hat))
+        rhs = obj.rhs - alpha + c * (degrees * own + nbr_sum(x_hat))
         x_new = np.einsum("nij,nj->ni", inv_ops, rhs)
         if mode == ANALYSIS_FAITHFUL:
             reported = x_new
@@ -181,16 +178,14 @@ def per_iteration_decentralized(g, obj, c, model, mode, max_iter, stream):
 def per_iteration_matrix_form(g, obj, c, model, max_iter, stream):
     """The stacked arc-matrix recursion drawing its error one iteration at a time."""
     am = build_arc_matrices(g)
-    inv_ops = np.linalg.inv(np.stack([loc.gram + (2.0 * c * d) * np.eye(obj.dim)
-                                      for loc, d in zip(obj.locals, g.degrees)]))
-    rhs_const = np.stack([loc.rhs for loc in obj.locals])
+    inv_ops = np.linalg.inv(obj.grams + (2.0 * c * g.degrees)[:, None, None] * np.eye(obj.dim))
     x = np.zeros((g.n_nodes, obj.dim))
     beta = np.zeros((g.n_arcs, obj.dim))
     xs, e_xs, zs, betas = [x], [], [0.5 * am.apply_mplus_t(x)], [beta]
     for k in range(max_iter):
         e_k = sample_error_block(model, x, stream, k)
         z_hat = 0.5 * am.apply_mplus_t(x + e_k)
-        rhs = rhs_const - am.apply_mminus(beta) + c * am.apply_mplus(z_hat)
+        rhs = obj.rhs - am.apply_mminus(beta) + c * am.apply_mplus(z_hat)
         x = np.einsum("nij,nj->ni", inv_ops, rhs)
         beta = beta + (0.5 * c) * am.apply_mminus_t(x)
         xs.append(x)
@@ -314,8 +309,8 @@ class TestConvergence:
         g, obj = small_setup(14, n_nodes=6, rho=0.5)
         perm = np.array([3, 0, 5, 1, 4, 2])
         g2 = Graph.from_edges(6, [(perm[i], perm[j]) for i, j in g.edges])
-        obj2 = ObjectiveSet.from_locals(
-            [obj.locals[i] for i in np.argsort(perm)])
+        inv = np.argsort(perm)
+        obj2 = ObjectiveSet.from_data(obj.designs[inv], obj.observations[inv])
         a = run_decentralized(g, obj, 0.5, NoiseModel.none(), ANALYSIS_FAITHFUL,
                               100, RandomStream(seed=10))
         b = run_decentralized(g2, obj2, 0.5, NoiseModel.none(), ANALYSIS_FAITHFUL,

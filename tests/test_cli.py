@@ -3,7 +3,8 @@ import warnings
 
 import pytest
 
-from ncadmm.cli import _build_parser, main
+from ncadmm import cli
+from ncadmm.cli import main
 from ncadmm.topology import read_edge_list
 
 
@@ -56,13 +57,40 @@ class TestGenGraph:
 class TestJobsEnvironment:
     def test_invalid_value_is_one_line_error(self, monkeypatch, capsys):
         monkeypatch.setenv("NCADMM_JOBS", "x")
-        assert main(["gen-graph", "--help"]) == 1
+        assert main(["experiment"]) == 1
         err = capsys.readouterr().err
         assert err == "error: NCADMM_JOBS must be an integer, got 'x'\n"
 
-    def test_value_sets_default_jobs(self, monkeypatch):
+    def test_value_sets_default_jobs(self, monkeypatch, tmp_path):
         monkeypatch.setenv("NCADMM_JOBS", "3")
-        assert _build_parser().parse_args(["experiment"]).jobs == 3
+        seen = []
+
+        def stop_before_the_sweep(cfg, jobs=1, quiet=False):
+            seen.append(jobs)
+            raise ValueError("stopped")
+
+        monkeypatch.setattr(cli, "run_experiment", stop_before_the_sweep)
+        assert main(["experiment", "--config", str(small_config(tmp_path))]) == 1
+        assert seen == [3]
+
+    def test_commands_that_do_not_read_it_ignore_it(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("NCADMM_JOBS", "abc")
+        rc = main(["gen-graph", "--nodes", "12", "--rho", "0.3",
+                   "--seed", "5", "--out", str(tmp_path / "g.edges")])
+        assert rc == 0
+
+    def test_jobs_flag_wins(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("NCADMM_JOBS", "abc")
+        rc = main(["experiment", "--config", str(small_config(tmp_path)), "--jobs", "1"])
+        assert rc == 0
+        assert (tmp_path / "sweep.csv").exists()
+
+    def test_help_ignores_it(self, monkeypatch, capsys):
+        monkeypatch.setenv("NCADMM_JOBS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--help"])
+        assert exc.value.code == 0
+        assert "--jobs" in capsys.readouterr().out
 
 
 class TestUsageErrors:
@@ -240,3 +268,20 @@ class TestExperiment:
         rc = main(["experiment", "--config", str(cfg), "--csv", str(alt)])
         assert rc == 0
         assert alt.exists()
+
+
+# 10**13 iterations ask for at least 437 TiB (the six desk cells' E^DC
+# curves; a run's iterate history is larger still), past the 128 TiB user
+# address space, so the allocation fails whatever the overcommit setting
+@pytest.mark.parametrize("command, out_flag", [
+    (["run", "--cell", "0.1,0.001"], "--out"),
+    (["experiment", "--trials", "1", "--jobs", "1"], "--csv"),
+], ids=["run", "experiment"])
+def test_unallocatable_max_iter_is_one_line_error(tmp_path, capsys, command, out_flag):
+    out = tmp_path / "out.csv"
+    rc = main(command + ["--max-iter", str(10 ** 13), out_flag, str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.splitlines()[-1].startswith("error: Unable to allocate")
+    assert not out.exists()

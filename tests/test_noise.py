@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from ncadmm import noise
 from ncadmm.noise import (NoiseModel, RandomStream, derive_ez_block,
-                          fold_key, keyed_normals, keyed_uniforms,
-                          lane_states, polar_normals, sample_error_block)
+                          fold_key, fold_lanes, keyed_normals, keyed_uniforms,
+                          lane_states, polar_normals, sample_error_block,
+                          uniforms)
 from ncadmm.noise import _NOISE_DOMAIN
 from ncadmm.topology import Graph, build_arc_matrices, gen_connected_graph
 
@@ -75,6 +76,27 @@ class TestKeyedRng:
         for row, it in zip(grid, iterations):
             assert row.tolist() == [fold_key(42, (_NOISE_DOMAIN, 3, 2, int(v), int(it)))
                                     for v in nodes]
+
+    @pytest.mark.parametrize("seed", [0, 7, -5, 2 ** 63, 2 ** 70])
+    def test_fold_lanes_match_scalar_fold(self, seed):
+        # the seed and the leading coordinates fold on exact Python integers:
+        # a negative seed or one past 64 bits never enters the uint64 path
+        coords = (2, 3)
+        lane = np.array([0, 1, 199, 2 ** 40, 2 ** 64 - 1], dtype=np.uint64)
+        states = fold_lanes(seed, coords, lane)
+        assert states.dtype == np.uint64
+        assert states.tolist() == [fold_key(seed, coords + (int(v),)) for v in lane]
+        grid = fold_lanes(seed, coords, np.arange(3), lane[:, None])
+        assert grid.shape == (5, 3)
+        for row, v in zip(grid, lane):
+            assert row.tolist() == [fold_key(seed, coords + (j, int(v))) for j in range(3)]
+
+    def test_uniforms_per_state_match_keyed_uniforms(self):
+        states = fold_lanes(9, (4,), np.arange(6))
+        block = uniforms(states, 5)
+        assert block.shape == (6, 5)
+        for i, row in enumerate(block):
+            assert np.array_equal(row, keyed_uniforms(9, (4, i), 5))
 
     def test_uniforms_in_unit_interval(self):
         u = keyed_uniforms(7, (1, 2), 10_000)
