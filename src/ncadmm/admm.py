@@ -9,8 +9,8 @@ cross-validate each other:
         (gram_i + 2c|N_i| I) x_i+ = rhs_i - alpha_i + c (|N_i| own + sum_nbrs)
 
     and then updates its dual alpha_i += c (|N_i| x_i+ - sum_j x_j+).  Only
-    neighbor-local values are touched; neighbor sums run over explicit
-    adjacency lists.
+    neighbor-local values are touched; neighbor sums gather each node's
+    neighbors from the arc heads, grouped by arc tail.
 
 ``run_matrix_form``
     The stacked primal-dual recursion over the arc matrices: with
@@ -241,10 +241,11 @@ def run_decentralized(
     if mode not in PLACEMENT_MODES:
         raise ValueError(f"unknown placement mode {mode!r}; expected one of {PLACEMENT_MODES}")
     n_nodes, dim = g.n_nodes, obj.dim
+    am = build_arc_matrices(g)
     degrees = g.degrees.astype(float)[:, None]
-    flat_nbrs = np.concatenate([np.array(nb, dtype=np.intp) for nb in g.neighbors])
-    offsets = np.zeros(n_nodes, dtype=np.intp)
-    np.cumsum(g.degrees[:-1], out=offsets[1:])
+    # each node's arcs, in canonical order, reach its neighbors in ascending order
+    flat_nbrs = am.head[np.argsort(am.tail, kind="stable")]
+    offsets = np.cumsum(g.degrees) - g.degrees
     inv_ops = _solve_operators(g, obj, c)
 
     full = record == "full"

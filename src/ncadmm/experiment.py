@@ -117,6 +117,8 @@ def preflight_reports(cfg: ExperimentConfig) -> list[TheoryReport]:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1, quiet: bool = False) -> SweepResult:
     """Execute the full sweep: preflight, trials, fixed-order aggregation."""
     start = time.monotonic()
+    # allocated first, so a sweep too large to hold fails before any compute
+    record = np.empty((cfg.trials, len(cfg.cells()), cfg.admm.max_iter + 1))
     if not quiet:
         for (c, sigma_e), report in zip(cfg.cells(), preflight_reports(cfg)):
             if report is None:
@@ -131,17 +133,19 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, quiet: bool = False) ->
                       f"(cond_squared={report.cond_squared}, "
                       f"cond_linear={report.cond_linear})", file=sys.stderr)
 
-    if jobs <= 1 or cfg.trials == 1:
-        per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
+    workers = min(jobs, cfg.trials)
+    if workers <= 1:
+        for t in range(cfg.trials):
+            record[t] = run_trial(cfg, t)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for t, curves in enumerate(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials))):
+                record[t] = curves
 
-    stacked = np.stack(per_trial)  # (trials, n_cells, K+1)
     return SweepResult(
         cells=cfg.cells(),
-        mean=stacked.mean(axis=0),
-        std=stacked.std(axis=0, ddof=0),
+        mean=record.mean(axis=0),
+        std=record.std(axis=0, ddof=0),
         trials=cfg.trials,
         wall_time=time.monotonic() - start,
     )

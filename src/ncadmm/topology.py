@@ -14,7 +14,8 @@ holds only the arcs' tail (i) and head (j) index arrays: ``m_plus.T @ x`` is
 the gather ``x[tail] + x[head]`` and ``m_plus @ z`` a scatter-add onto both
 end nodes, applied blockwise to n-dimensional node variables (the Kronecker
 lift, which leaves all singular values unchanged).  The Laplacians come from
-degrees and edges; the dense matrices are built only on request.
+degrees (``bincount(tail)``) and edges; the dense matrices are built only on
+request.  :func:`gen_connected_graph` draws edges by pair index, in O(E) memory.
 """
 
 from __future__ import annotations
@@ -80,16 +81,8 @@ class Graph:
         return 2 * len(self.edges)
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(v)) for v in nbrs)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(v) for v in self.neighbors], dtype=np.int64)
+        return build_arc_matrices(self).degrees
 
     @property
     def max_degree(self) -> int:
@@ -113,6 +106,11 @@ class ArcMatrices:
     @property
     def n_arcs(self) -> int:
         return self.tail.shape[0]
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Arcs leaving each node, which is each node's degree."""
+        return np.bincount(self.tail, minlength=self.n_nodes)
 
     @cached_property
     def m_plus(self) -> np.ndarray:
@@ -144,7 +142,7 @@ class ArcMatrices:
     def _gram(self, adjacency_sign: float) -> np.ndarray:
         m = np.zeros((self.n_nodes, self.n_nodes))
         m[self.tail, self.head] = adjacency_sign
-        m[np.diag_indices(self.n_nodes)] = np.bincount(self.tail, minlength=self.n_nodes)
+        m[np.diag_indices(self.n_nodes)] = self.degrees
         return m
 
     def apply_mplus_t(self, x_nodes: np.ndarray) -> np.ndarray:
@@ -191,12 +189,7 @@ class SpectralSummary:
     max_degree: int
 
 
-def gen_connected_graph(
-    n_nodes: int,
-    rho: float,
-    seed: int,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> Graph:
+def gen_connected_graph(n_nodes: int, rho: float, seed: int) -> Graph:
     """Sample a connected graph with connectivity ratio ``rho``.
 
     The edge count is E = round(rho * N(N-1)/2) (half away from zero); an
@@ -205,7 +198,7 @@ def gen_connected_graph(
     uniform substream (seed, graph-domain, t).
 
     Raises ValueError when E < N-1 (connectivity impossible) and
-    GraphConnectivityError when ``max_retries`` samples are all disconnected.
+    GraphConnectivityError when DEFAULT_MAX_RETRIES samples are all disconnected.
     """
     if n_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {n_nodes}")
@@ -219,26 +212,25 @@ def gen_connected_graph(
             f"{n_nodes} nodes needs at least {n_nodes - 1}"
         )
 
-    all_edges = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
-    for attempt in range(max_retries):
-        chosen = _sample_edge_subset(all_edges, n_edges, seed, attempt)
-        if _is_connected(n_nodes, chosen):
-            return Graph.from_edges(n_nodes, chosen)
+    # Partial Fisher-Yates shuffle of the pair indices, holding only moved
+    # positions; pair (i, j) has row-major (lexicographic) index row_start[i] + j - i - 1.
+    row_start = np.arange(n_nodes) * (2 * n_nodes - np.arange(n_nodes) - 1) // 2
+    pos = np.arange(n_edges)
+    for attempt in range(DEFAULT_MAX_RETRIES):
+        u = keyed_uniforms(seed, (_GRAPH_DOMAIN, attempt), n_edges)
+        chosen, moved = [], {}
+        for t, r in enumerate((pos + (u * (e_complete - pos)).astype(np.int64)).tolist()):
+            chosen.append(moved.get(r, r))
+            moved[r] = moved.get(t, t)
+        pairs = np.sort(chosen)
+        i = np.searchsorted(row_start, pairs, side="right") - 1
+        edges = tuple(zip(i.tolist(), (pairs - row_start[i] + i + 1).tolist()))
+        if _is_connected(n_nodes, edges):
+            return Graph(n_nodes=n_nodes, edges=edges)
     raise GraphConnectivityError(
-        f"no connected graph in {max_retries} samples "
+        f"no connected graph in {DEFAULT_MAX_RETRIES} samples "
         f"(N={n_nodes}, rho={rho}, E={n_edges}, seed={seed})"
     )
-
-
-def _sample_edge_subset(all_edges, n_edges, seed, attempt):
-    """Uniform E-subset via a partial Fisher-Yates shuffle."""
-    m = len(all_edges)
-    u = keyed_uniforms(seed, (_GRAPH_DOMAIN, attempt), n_edges)
-    idx = list(range(m))
-    for t in range(n_edges):
-        r = t + int(u[t] * (m - t))
-        idx[t], idx[r] = idx[r], idx[t]
-    return [all_edges[k] for k in idx[:n_edges]]
 
 
 def _is_connected(n_nodes, edges) -> bool:
@@ -288,13 +280,12 @@ def spectral_summary(am: ArcMatrices) -> SpectralSummary:
     nz = sigmas_minus[sigmas_minus > 1e-9 * sigma_max_mminus]
     if nz.size == 0:
         raise ValueError("m_minus has no nonzero singular value (graph has no edges?)")
-    max_degree = int(np.rint(np.diag(am.signless_laplacian)).max())
     return SpectralSummary(
         sigma_max_mplus=sigma_max_mplus,
         sigma_max_mminus=sigma_max_mminus,
         sigma_min_nz_mminus=float(nz.min()),
         l_max=l_max,
-        max_degree=max_degree,
+        max_degree=int(am.degrees.max()),
     )
 
 

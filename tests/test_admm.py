@@ -146,11 +146,20 @@ class TestEngineEquivalence:
 
 
 def per_iteration_decentralized(g, obj, c, model, mode, max_iter, stream):
-    """The per-node protocol drawing its error one iteration at a time."""
-    degrees = g.degrees.astype(float)[:, None]
-    flat_nbrs = np.concatenate([np.array(nb, dtype=np.intp) for nb in g.neighbors])
-    offsets = np.concatenate([[0], np.cumsum(g.degrees[:-1])]).astype(np.intp)
-    inv_ops = np.linalg.inv(obj.grams + (2.0 * c * g.degrees)[:, None, None] * np.eye(obj.dim))
+    """The per-node protocol drawing its error one iteration at a time.
+
+    Neighbor lists and degrees come from ``g.edges`` in plain Python.
+    """
+    nbrs = [[] for _ in range(g.n_nodes)]
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    nbrs = [sorted(nb) for nb in nbrs]
+    deg = np.array([len(nb) for nb in nbrs])
+    degrees = deg.astype(float)[:, None]
+    flat_nbrs = np.array([j for nb in nbrs for j in nb], dtype=np.intp)
+    offsets = np.concatenate([[0], np.cumsum(deg[:-1])]).astype(np.intp)
+    inv_ops = np.linalg.inv(obj.grams + (2.0 * c * deg)[:, None, None] * np.eye(obj.dim))
     x = np.zeros((g.n_nodes, obj.dim))
     alpha = np.zeros_like(x)
     xs, e_xs = [x], []

@@ -281,7 +281,10 @@ def test_unallocatable_max_iter_is_one_line_error(tmp_path, capsys, command, out
     out = tmp_path / "out.csv"
     rc = main(command + ["--max-iter", str(10 ** 13), out_flag, str(out)])
     assert rc == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # fails before the experiment's preflight prints
+    err = captured.err
     assert err.count("error:") == 1
+    assert err.count("\n") == 1
     assert err.splitlines()[-1].startswith("error: Unable to allocate")
     assert not out.exists()

