@@ -9,8 +9,8 @@ cross-validate each other:
         (gram_i + 2c|N_i| I) x_i+ = rhs_i - alpha_i + c (|N_i| own + sum_nbrs)
 
     and then updates its dual alpha_i += c (|N_i| x_i+ - sum_j x_j+).  Only
-    neighbor-local values are touched; neighbor sums gather each node's
-    neighbors from the arc heads, grouped by arc tail.
+    neighbor-local values are touched; the neighbor sums are
+    :meth:`ArcMatrices.neighbor_sum`, the arc heads grouped by arc tail.
 
 ``run_matrix_form``
     The stacked primal-dual recursion over the arc matrices: with
@@ -243,9 +243,6 @@ def run_decentralized(
     n_nodes, dim = g.n_nodes, obj.dim
     am = build_arc_matrices(g)
     degrees = g.degrees.astype(float)[:, None]
-    # each node's arcs, in canonical order, reach its neighbors in ascending order
-    flat_nbrs = am.head[np.argsort(am.tail, kind="stable")]
-    offsets = np.cumsum(g.degrees) - g.degrees
     inv_ops = _solve_operators(g, obj, c)
 
     full = record == "full"
@@ -261,9 +258,6 @@ def run_decentralized(
         e_xs = np.empty((max_iter, n_nodes, dim))
         beta0 = np.zeros((g.n_arcs, dim))
 
-    def nbr_sum(values: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(values[flat_nbrs], offsets, axis=0)
-
     # broadcast also perturbs the message carrying the final iterate; that
     # message is drawn once and feeds the next x-update as well
     n_draws = max_iter + 1 if mode == BROADCAST else max_iter
@@ -272,12 +266,12 @@ def run_decentralized(
     for k in range(max_iter):
         x_hat = x + e_k
         own = x_hat if mode == ANALYSIS_FAITHFUL else x
-        rhs = obj.rhs - alpha + c * (degrees * own + nbr_sum(x_hat))
+        rhs = obj.rhs - alpha + c * (degrees * own + am.neighbor_sum(x_hat))
         x_new = np.einsum("nij,nj->ni", inv_ops, rhs)
         e_next = error(k + 1, x_new) if k + 1 < n_draws else None
 
         reported = x_new if mode == ANALYSIS_FAITHFUL else x_new + e_next
-        alpha = alpha + c * (degrees * x_new - nbr_sum(reported))
+        alpha = alpha + c * (degrees * x_new - am.neighbor_sum(reported))
         x = x_new
 
         xs[k + 1] = x

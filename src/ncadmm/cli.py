@@ -221,8 +221,11 @@ def _cmd_audit(args) -> int:
 
 def _cmd_experiment(args) -> int:
     jobs = _env_jobs() if args.jobs is None else args.jobs
+    if jobs < 1:
+        source = "NCADMM_JOBS" if args.jobs is None else "--jobs"
+        raise ConfigError(f"{source} must be at least 1, got {jobs}")
     cfg = _load_with_overrides(args)
-    result = run_experiment(cfg, jobs=max(1, jobs))
+    result = run_experiment(cfg, jobs=jobs)
     emit_csv(result, cfg.output.csv_path)
     print(f"wrote {cfg.output.csv_path} "
           f"({len(result.cells)} cells x {result.trials} trials, "

@@ -11,9 +11,11 @@ variables:
 
 with D the degree diagonal and W the adjacency matrix.  :class:`ArcMatrices`
 holds only the arcs' tail (i) and head (j) index arrays: ``m_plus.T @ x`` is
-the gather ``x[tail] + x[head]`` and ``m_plus @ z`` a scatter-add onto both
-end nodes, applied blockwise to n-dimensional node variables (the Kronecker
-lift, which leaves all singular values unchanged).  The Laplacians come from
+the gather ``x[tail] + x[head]``, and one ``reduceat`` over the arcs grouped
+by tail gives ``m_plus @ z`` (each node sums ``z[q] + z[q ^ 1]``, arc q ^ 1
+reversing arc q) and each node's neighbor sum.  All act blockwise on
+n-dimensional node variables (the Kronecker lift, which leaves all singular
+values unchanged).  The Laplacians come from
 degrees (``bincount(tail)``) and edges; the dense matrices are built only on
 request.  :func:`gen_connected_graph` draws edges by pair index, in O(E) memory.
 """
@@ -95,7 +97,7 @@ class ArcMatrices:
 
     Arc q runs from ``tail[q]`` to ``head[q]`` in the canonical arc order
     (see :func:`build_arc_matrices`).
-    The ``apply_*`` methods take stacked variables whose last two axes are
+    The operators take stacked variables whose last two axes are
     (N, n) for nodes or (2E, n) for arcs; leading axes are batch axes.
     """
 
@@ -157,20 +159,30 @@ class ArcMatrices:
     def apply_mminus_t(self, x_nodes: np.ndarray) -> np.ndarray:
         return np.take(x_nodes, self.tail, axis=-2) - np.take(x_nodes, self.head, axis=-2)
 
+    @cached_property
+    def _by_tail(self):
+        # arcs sorted stably by tail, their reverses (q ^ 1), heads and group starts;
+        # reduceat needs every node to have an arc, which a connected Graph guarantees
+        arcs = np.argsort(self.tail, kind="stable")
+        return arcs, arcs ^ 1, self.head[arcs], np.cumsum(self.degrees) - self.degrees
+
+    def neighbor_sum(self, x_nodes: np.ndarray) -> np.ndarray:
+        """Sum of each node's neighbors' values, in ascending neighbor order."""
+        _, _, heads, starts = self._by_tail
+        return np.add.reduceat(np.take(x_nodes, heads, axis=-2), starts, axis=-2)
+
     def apply_mplus(self, z_arcs: np.ndarray) -> np.ndarray:
         """m_plus @ z for arc-major stacked variables (..., 2E, n)."""
-        return self._scatter(z_arcs, np.add)
+        return self._node_sum(z_arcs, np.add)
 
     def apply_mminus(self, z_arcs: np.ndarray) -> np.ndarray:
-        return self._scatter(z_arcs, np.subtract)
+        return self._node_sum(z_arcs, np.subtract)
 
-    def _scatter(self, z_arcs: np.ndarray, head_op: np.ufunc) -> np.ndarray:
-        """Add each arc's value onto its tail node and ``head_op`` it onto its head."""
-        z_arcs = np.asarray(z_arcs, dtype=float)
-        out = np.zeros(z_arcs.shape[:-2] + (self.n_nodes, z_arcs.shape[-1]))
-        np.add.at(out, (..., self.tail, slice(None)), z_arcs)
-        head_op.at(out, (..., self.head, slice(None)), z_arcs)
-        return out
+    def _node_sum(self, z_arcs: np.ndarray, head_op: np.ufunc) -> np.ndarray:
+        """Sum ``z[q] head_op z[q ^ 1]`` over the arcs q leaving each node."""
+        arcs, reverse, _, starts = self._by_tail
+        pairs = head_op(np.take(z_arcs, arcs, axis=-2), np.take(z_arcs, reverse, axis=-2))
+        return np.add.reduceat(pairs, starts, axis=-2)
 
 
 @dataclass(frozen=True)
@@ -225,8 +237,10 @@ def gen_connected_graph(n_nodes: int, rho: float, seed: int) -> Graph:
         pairs = np.sort(chosen)
         i = np.searchsorted(row_start, pairs, side="right") - 1
         edges = tuple(zip(i.tolist(), (pairs - row_start[i] + i + 1).tolist()))
-        if _is_connected(n_nodes, edges):
+        try:
             return Graph(n_nodes=n_nodes, edges=edges)
+        except ValueError:  # the edges are canonical, so the sample is disconnected
+            continue
     raise GraphConnectivityError(
         f"no connected graph in {DEFAULT_MAX_RETRIES} samples "
         f"(N={n_nodes}, rho={rho}, E={n_edges}, seed={seed})"

@@ -73,6 +73,24 @@ class TestJobsEnvironment:
         assert main(["experiment", "--config", str(small_config(tmp_path))]) == 1
         assert seen == [3]
 
+    @pytest.mark.parametrize("env, flag, err", [
+        (None, "0", "error: --jobs must be at least 1, got 0\n"),
+        (None, "-2", "error: --jobs must be at least 1, got -2\n"),
+        ("0", None, "error: NCADMM_JOBS must be at least 1, got 0\n"),
+    ])
+    def test_nonpositive_jobs_fail_before_the_sweep(self, monkeypatch, tmp_path, capsys,
+                                                     env, flag, err):
+        if env is None:
+            monkeypatch.delenv("NCADMM_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("NCADMM_JOBS", env)
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg, jobs=1, quiet=False: seen.append(jobs))
+        argv = ["experiment", "--config", str(small_config(tmp_path))]
+        assert main(argv + (["--jobs", flag] if flag else [])) == 1
+        assert seen == []
+        assert capsys.readouterr() == ("", err)
+
     def test_commands_that_do_not_read_it_ignore_it(self, monkeypatch, tmp_path):
         monkeypatch.setenv("NCADMM_JOBS", "abc")
         rc = main(["gen-graph", "--nodes", "12", "--rho", "0.3",

@@ -172,9 +172,21 @@ class TestArcMatrices:
         assert np.array_equal(am.m_minus.T @ ones, np.zeros(g.n_arcs))
 
     def test_batched_operators_match_dense(self):
-        g = gen_connected_graph(20, rho=0.2, seed=6)
+        # Degree-1 nodes (N=2, the star's leaves, the path's ends) make one-arc
+        # groups at the boundaries of the tail-grouped index.  ``reduceat``
+        # needs every node to have an arc, which a connected Graph guarantees.
+        for g in (Graph.from_edges(2, [(0, 1)]),
+                  Graph.from_edges(8, [(0, k) for k in range(1, 8)]),
+                  Graph.from_edges(6, [(k, k + 1) for k in range(5)]),
+                  gen_connected_graph(20, rho=0.2, seed=6),
+                  gen_connected_graph(15, rho=0.4, seed=2)):
+            self.check_batched_operators(g)
+
+    @staticmethod
+    def check_batched_operators(g):
         am = build_arc_matrices(g)
-        x = keyed_normals(4, (0,), 5 * 20 * 3).reshape(5, 20, 3)
+        n_nodes = g.n_nodes
+        x = keyed_normals(4, (0,), 5 * n_nodes * 3).reshape(5, n_nodes, 3)
         z = keyed_normals(4, (1,), 5 * g.n_arcs * 3).reshape(5, g.n_arcs, 3)
         for apply_t, dense in ((am.apply_mplus_t, am.m_plus), (am.apply_mminus_t, am.m_minus)):
             out = apply_t(x)
@@ -182,6 +194,41 @@ class TestArcMatrices:
             assert out.flags.c_contiguous
         assert np.allclose(am.apply_mplus(z), np.matmul(am.m_plus, z), atol=1e-12)
         assert np.allclose(am.apply_mminus(z), np.matmul(am.m_minus, z), atol=1e-12)
+
+        # reduceat adds a group's first row to the sum of the others, which
+        # numpy takes in order for up to seven rows: these degrees are <= 8
+        assert g.max_degree <= 8
+        nbrs = [[] for _ in range(n_nodes)]
+        for i, j in g.edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        loop = np.empty_like(x)
+        for i, node_nbrs in enumerate(nbrs):
+            first, *others = sorted(node_nbrs)
+            rest = np.zeros_like(x[:, i])
+            for j in others:
+                rest = rest + x[:, j]
+            loop[:, i] = x[:, first] + rest
+        assert np.array_equal(am.neighbor_sum(x), loop)
+        assert np.array_equal(am.neighbor_sum(x[2]), loop[2])
+        adjacency = am.signless_laplacian - np.diag(am.degrees)
+        assert np.allclose(am.neighbor_sum(x), np.matmul(adjacency, x), atol=1e-12)
+
+    def test_grouped_operators_do_not_call_wrapped_methods(self, monkeypatch):
+        # a tracer wraps the apply_* methods on the class; each call must be
+        # one span, so no operator may reach another through them
+        calls = []
+        for name in ("apply_mplus_t", "apply_mminus_t", "apply_mplus", "apply_mminus"):
+            def counted(self, arg, _name=name, _method=getattr(topology.ArcMatrices, name)):
+                calls.append(_name)
+                return _method(self, arg)
+            monkeypatch.setattr(topology.ArcMatrices, name, counted)
+        am = build_arc_matrices(gen_connected_graph(10, rho=0.4, seed=3))
+        am.neighbor_sum(np.ones((10, 2)))
+        assert calls == []
+        am.apply_mplus(np.ones((am.n_arcs, 2)))
+        am.apply_mminus(np.ones((am.n_arcs, 2)))
+        assert calls == ["apply_mplus", "apply_mminus"]
 
     def test_rank_deficiency_is_exactly_one(self):
         for seed in range(5):
