@@ -44,8 +44,13 @@ Gaussian and fixed-norm error does not depend on x, so the engines draw it
 for a chunk of iterations per :func:`sample_error_block` call (about 8192
 node-iterations); the values are identical to per-iteration draws.
 Quantizer error depends on x and is drawn per iteration.  Each message is
-drawn once: in ``broadcast`` mode the error on the message carrying
-iterate k+1 is carried forward to the next x-update.
+drawn once and summed over neighbors once: in ``broadcast`` mode the
+message x^{k+1} + e^{k+1} and its neighbor sum serve the dual update that
+consumes it and the next x-update.  In ``analysis_faithful`` mode the dual
+update needs the neighbor sum of x^{k+1} and the next x-update that of
+x^{k+1} + e^{k+1}; both come from one neighbor sum over the (2, N, n)
+stack of the two, whose slices equal the separate sums bit for bit.  A run
+of K iterations therefore takes K + 1 neighbor sums in either mode.
 
 A :class:`Trajectory` holds only engine state (iterates, per-node duals,
 error blocks and the initial arc dual); :meth:`Trajectory.arc_states`
@@ -259,22 +264,31 @@ def run_decentralized(
         beta0 = np.zeros((g.n_arcs, dim))
 
     # broadcast also perturbs the message carrying the final iterate; that
-    # message is drawn once and feeds the next x-update as well
-    n_draws = max_iter + 1 if mode == BROADCAST else max_iter
+    # message is drawn and summed once and feeds the next x-update as well
+    faithful = mode == ANALYSIS_FAITHFUL
+    n_draws = max_iter if faithful else max_iter + 1
     error = _error_source(model, stream, n_nodes, n_draws)
     e_k = error(0, x)
+    x_hat = x + e_k
+    nb_hat = am.neighbor_sum(x_hat)
+    # analysis_faithful sums x^{k+1} and its message x^{k+1} + e^{k+1} in one call
+    pair = np.empty((2, n_nodes, dim))
     for k in range(max_iter):
-        x_hat = x + e_k
-        own = x_hat if mode == ANALYSIS_FAITHFUL else x
-        rhs = obj.rhs - alpha + c * (degrees * own + am.neighbor_sum(x_hat))
-        x_new = np.einsum("nij,nj->ni", inv_ops, rhs)
-        e_next = error(k + 1, x_new) if k + 1 < n_draws else None
+        own = x_hat if faithful else x
+        rhs = obj.rhs - alpha + c * (degrees * own + nb_hat)
+        x = np.einsum("nij,nj->ni", inv_ops, rhs, out=xs[k + 1])
+        e_next = error(k + 1, x) if k + 1 < n_draws else None
+        if not faithful:
+            x_hat = x + e_next
+            nb_reported = nb_hat = am.neighbor_sum(x_hat)
+        elif e_next is None:
+            nb_reported = am.neighbor_sum(x)
+        else:
+            pair[0] = x
+            x_hat = np.add(x, e_next, out=pair[1])
+            nb_reported, nb_hat = am.neighbor_sum(pair)
+        alpha = alpha + c * (degrees * x - nb_reported)
 
-        reported = x_new if mode == ANALYSIS_FAITHFUL else x_new + e_next
-        alpha = alpha + c * (degrees * x_new - am.neighbor_sum(reported))
-        x = x_new
-
-        xs[k + 1] = x
         if full:
             alphas[k + 1] = alpha
             e_xs[k] = e_k

@@ -14,9 +14,10 @@ stream: pair p of a draw takes attempts a = 0, 1, ... where attempt a reads
 uniforms at counters 2*(a*P + p) and 2*(a*P + p) + 1 (P = number of pairs),
 maps them to u, v in [-1, 1), and accepts when 0 < s = u*u + v*v < 1 giving
 the two normals u*f, v*f with f = sqrt(-2 ln(s) / s).  Per-pair counter
-lanes keep the scheme fully vectorizable without changing any draw: each
-round draws uniforms only for the pairs still pending, over every lane at
-once, and drops the pairs it accepts.
+lanes keep the scheme fully vectorizable without changing any draw: round
+0 tries every (lane, pair) slot of the grid at once and writes it whole;
+each later round draws uniforms only for the pairs still pending, over
+every lane at once, and drops the pairs it accepts.
 
 Array coordinates (node, iteration) fold in one uint64 array step each
 (:func:`fold_lanes`, equal to :func:`fold_key` entry by entry); the error
@@ -71,16 +72,24 @@ def fold_key(seed: int, coords) -> int:
 
 
 def _mix_u64(z: np.ndarray) -> np.ndarray:
-    """Vectorized finalizer, identical to :func:`_mix` on uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """Vectorized finalizer, identical to :func:`_mix` on uint64 arrays.
+
+    Mixes ``z`` in place, so callers pass a freshly computed array.
+    """
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _uniform_block(states: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) for broadcastable uint64 state/counter arrays."""
     raw = _mix_u64(states + (counters + np.uint64(1)) * np.uint64(_GOLDEN))
-    return (raw >> np.uint64(11)) * 2.0 ** -53
+    raw >>= np.uint64(11)
+    # below 2**53, so the int64 view converts exactly, and faster than uint64
+    return raw.view(np.int64) * 2.0 ** -53
 
 
 def fold_lanes(seed: int, coords, *lanes) -> np.ndarray:
@@ -109,36 +118,59 @@ def keyed_uniforms(seed: int, coords, count: int) -> np.ndarray:
     return uniforms(fold_key(seed, coords), count)
 
 
+def _polar_attempt(states: np.ndarray, counters: np.ndarray):
+    """One polar attempt per pair, from the uniforms at ``counters`` (..., 2 * pairs).
+
+    Returns the candidate pairs (u*f, v*f), each viewed as one complex128
+    item so that a pair moves with 1-D indexing, and the acceptance mask; a
+    rejected pair holds inf or nan.  Every step works in place and rounds
+    exactly as ``2u - 1``, ``u*u + v*v`` and ``sqrt(-2 ln(s) / s)`` do.
+    """
+    uv = _uniform_block(states, counters).reshape(-1, 2)
+    uv *= 2.0
+    uv -= 1.0
+    u, v = uv[:, 0], uv[:, 1]
+    s = u * u
+    s += v * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.log(s)
+        f *= -2.0
+        f /= s
+        np.sqrt(f, out=f)
+    uv *= f[:, None]
+    return uv.view(np.complex128)[:, 0], (s > 0.0) & (s < 1.0)
+
+
 def polar_normals(states, count: int) -> np.ndarray:
     """Standard normals for any array of substream states via the polar transform.
 
     The result has shape ``states.shape + (count,)``, and entry [..., t] is
-    a pure function of (states[...], t).  The pairs still pending are kept
-    as a list of flat indices lane * P + pair; each round draws uniforms
-    only for them, writes the accepted ones into place and drops them from
-    the list.
+    a pure function of (states[...], t).  Round 0 tries every (lane, pair)
+    slot at once and fills the whole grid.  The pairs it rejects are kept
+    as a list of flat indices lane * P + pair, with their states and u
+    counters gathered once; each later round advances the counters by one
+    attempt, draws uniforms only for the pending pairs, writes the accepted
+    ones into place and drops them from the list.
     """
     states = np.asarray(states, dtype=np.uint64)
     flat = states.reshape(-1)
     pairs = (count + 1) // 2
-    out = np.empty((flat.size * pairs, 2))
-    pending = np.arange(out.shape[0])
-    for attempt in range(_MAX_POLAR_ROUNDS):
-        st = flat[pending // pairs]
-        base = (2 * (attempt * pairs + pending % pairs)).astype(np.uint64)
-        u = 2.0 * _uniform_block(st, base) - 1.0
-        v = 2.0 * _uniform_block(st, base + np.uint64(1)) - 1.0
-        s = u * u + v * v
-        accept = (s > 0.0) & (s < 1.0)
-        s = s[accept]
-        f = np.sqrt(-2.0 * np.log(s) / s)
-        done = pending[accept]
-        out[done, 0] = u[accept] * f
-        out[done, 1] = v[accept] * f
-        pending = pending[~accept]
+    out, accept = _polar_attempt(flat[:, None], np.arange(2 * pairs, dtype=np.uint64))
+    pending = np.flatnonzero(~accept)
+    lane, pair = np.divmod(pending, pairs)
+    st, u_counter = flat[lane], (2 * pair).astype(np.uint64)
+    for _ in range(1, _MAX_POLAR_ROUNDS):
         if not pending.size:
-            return out.reshape(states.shape + (2 * pairs,))[..., :count]
-    raise RuntimeError("polar sampling failed to accept after many rounds")
+            break
+        u_counter += np.uint64(2 * pairs)
+        counters = np.stack([u_counter, u_counter + np.uint64(1)], axis=1)
+        normals, accept = _polar_attempt(st[:, None], counters)
+        out[pending[accept]] = normals[accept]
+        keep = ~accept
+        pending, st, u_counter = pending[keep], st[keep], u_counter[keep]
+    if pending.size:
+        raise RuntimeError("polar sampling failed to accept after many rounds")
+    return out.view(np.float64).reshape(states.shape + (2 * pairs,))[..., :count]
 
 
 def keyed_normals(seed: int, coords, count: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ class Graph:
             if prev is not None and (i, j) <= prev:
                 raise ValueError("edges must be sorted and unique")
             prev = (i, j)
-        if not _is_connected(self.n_nodes, self.edges):
+        if not _is_connected(self.n_nodes, self._edge_array):
             raise ValueError("graph is not connected")
 
     @classmethod
@@ -85,6 +86,14 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         return build_arc_matrices(self).degrees
+
+    @cached_property
+    def _edge_array(self) -> np.ndarray:
+        """``edges`` as a read-only (E, 2) index array, converted once."""
+        edges = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
+                            count=2 * len(self.edges)).reshape(-1, 2)
+        edges.flags.writeable = False
+        return edges
 
     @property
     def max_degree(self) -> int:
@@ -154,10 +163,10 @@ class ArcMatrices:
         is C-contiguous, and equals the lifted (Kronecker) matrix applied to
         the stack.
         """
-        return np.take(x_nodes, self.tail, axis=-2) + np.take(x_nodes, self.head, axis=-2)
+        return x_nodes.take(self.tail, axis=-2) + x_nodes.take(self.head, axis=-2)
 
     def apply_mminus_t(self, x_nodes: np.ndarray) -> np.ndarray:
-        return np.take(x_nodes, self.tail, axis=-2) - np.take(x_nodes, self.head, axis=-2)
+        return x_nodes.take(self.tail, axis=-2) - x_nodes.take(self.head, axis=-2)
 
     @cached_property
     def _by_tail(self):
@@ -169,7 +178,7 @@ class ArcMatrices:
     def neighbor_sum(self, x_nodes: np.ndarray) -> np.ndarray:
         """Sum of each node's neighbors' values, in ascending neighbor order."""
         _, _, heads, starts = self._by_tail
-        return np.add.reduceat(np.take(x_nodes, heads, axis=-2), starts, axis=-2)
+        return np.add.reduceat(x_nodes.take(heads, axis=-2), starts, axis=-2)
 
     def apply_mplus(self, z_arcs: np.ndarray) -> np.ndarray:
         """m_plus @ z for arc-major stacked variables (..., 2E, n)."""
@@ -181,7 +190,7 @@ class ArcMatrices:
     def _node_sum(self, z_arcs: np.ndarray, head_op: np.ufunc) -> np.ndarray:
         """Sum ``z[q] head_op z[q ^ 1]`` over the arcs q leaving each node."""
         arcs, reverse, _, starts = self._by_tail
-        pairs = head_op(np.take(z_arcs, arcs, axis=-2), np.take(z_arcs, reverse, axis=-2))
+        pairs = head_op(z_arcs.take(arcs, axis=-2), z_arcs.take(reverse, axis=-2))
         return np.add.reduceat(pairs, starts, axis=-2)
 
 
@@ -247,19 +256,26 @@ def gen_connected_graph(n_nodes: int, rho: float, seed: int) -> Graph:
     )
 
 
-def _is_connected(n_nodes, edges) -> bool:
-    parent = list(range(n_nodes))
+def _is_connected(n_nodes: int, edges: np.ndarray) -> bool:
+    """Whether the (E, 2) edge array connects all ``n_nodes`` nodes.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        parent[find(i)] = find(j)
-    root = find(0)
-    return all(find(v) == root for v in range(n_nodes))
+    Min-label propagation with pointer jumping over the arcs (both
+    directions of each edge).  Each node's label is a node of its own
+    component and never larger than the node itself.  A round lowers the
+    label of each arc tail's label to the arc head's label where that is
+    smaller, then replaces every label by its label's label.  A round that
+    changes nothing leaves one label per component, so the graph is
+    connected exactly when every label is node 0.
+    """
+    tail, head = edges.reshape(-1), edges[:, ::-1].reshape(-1)
+    labels = np.arange(n_nodes)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, labels[tail], labels[head])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            return not labels.any()
+        labels = hooked
 
 
 def build_arc_matrices(g: Graph) -> ArcMatrices:
@@ -269,7 +285,7 @@ def build_arc_matrices(g: Graph) -> ArcMatrices:
     (i, j) and then arc (j, i); arc 2q therefore runs from the smaller end
     of edge q.
     """
-    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    edges = g._edge_array
     return ArcMatrices(n_nodes=g.n_nodes, tail=edges.reshape(-1),
                        head=edges[:, ::-1].reshape(-1))
 

@@ -8,7 +8,8 @@ from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, gnorm_series,
 from ncadmm.analysis import edc_metric, error_gates
 from ncadmm.noise import NoiseModel, RandomStream, sample_error_block
 from ncadmm.objective import ObjectiveSet, make_problem
-from ncadmm.topology import Graph, build_arc_matrices, gen_connected_graph
+from ncadmm.topology import (ArcMatrices, Graph, build_arc_matrices,
+                             gen_connected_graph)
 
 
 def small_setup(seed=0, n_nodes=8, rho=0.4, design="well_conditioned"):
@@ -148,7 +149,9 @@ class TestEngineEquivalence:
 def per_iteration_decentralized(g, obj, c, model, mode, max_iter, stream):
     """The per-node protocol drawing its error one iteration at a time.
 
-    Neighbor lists and degrees come from ``g.edges`` in plain Python.
+    Neighbor lists and degrees come from ``g.edges`` in plain Python, and
+    every iteration takes two neighbor sums of its own, one per update.
+    Returns the x, alpha and error histories.
     """
     nbrs = [[] for _ in range(g.n_nodes)]
     for i, j in g.edges:
@@ -162,7 +165,7 @@ def per_iteration_decentralized(g, obj, c, model, mode, max_iter, stream):
     inv_ops = np.linalg.inv(obj.grams + (2.0 * c * deg)[:, None, None] * np.eye(obj.dim))
     x = np.zeros((g.n_nodes, obj.dim))
     alpha = np.zeros_like(x)
-    xs, e_xs = [x], []
+    xs, alphas, e_xs = [x], [alpha], []
 
     def nbr_sum(values):
         return np.add.reduceat(values[flat_nbrs], offsets, axis=0)
@@ -180,8 +183,9 @@ def per_iteration_decentralized(g, obj, c, model, mode, max_iter, stream):
         alpha = alpha + c * (degrees * x_new - nbr_sum(reported))
         x = x_new
         xs.append(x)
+        alphas.append(alpha)
         e_xs.append(e_k)
-    return np.stack(xs), np.stack(e_xs)
+    return np.stack(xs), np.stack(alphas), np.stack(e_xs)
 
 
 def per_iteration_matrix_form(g, obj, c, model, max_iter, stream):
@@ -208,10 +212,14 @@ class TestChunkedDraws:
     """Chunked error draws replay the per-iteration loop bit for bit.
 
     At N=200 a chunk is 40 iterations, so 100 iterations cross two chunk
-    boundaries (and broadcast's extra final draw starts a third chunk).
+    boundaries (and broadcast's extra final draw starts a third chunk).  At
+    the steady-state shape (N=20, rho=0.3) a chunk is 409 iterations, so 420
+    iterations cross one.
     """
 
     MODELS = [NoiseModel.gaussian(1e-2), NoiseModel.fixed_norm(1e-2)]
+    ALL_KINDS = [NoiseModel.none(), NoiseModel.gaussian(1e-2),
+                 NoiseModel.quantizer(1e-3), NoiseModel.fixed_norm(1e-2)]
 
     @pytest.fixture(scope="class")
     def instance(self):
@@ -219,15 +227,34 @@ class TestChunkedDraws:
         obj, _ = make_problem(200, 3, 1e-3, "well_conditioned", seed=22)
         return g, obj
 
+    @pytest.fixture(scope="class")
+    def steady_instance(self):
+        g = gen_connected_graph(20, 0.3, seed=23)
+        obj, _ = make_problem(20, 3, 1e-3, "well_conditioned", seed=24)
+        return g, obj
+
+    @staticmethod
+    def check_decentralized(g, obj, model, mode, max_iter):
+        stream = RandomStream(seed=15, trial=1, cell=2)
+        traj = run_decentralized(g, obj, 0.3, model, mode, max_iter, stream)
+        xs, alphas, e_xs = per_iteration_decentralized(g, obj, 0.3, model, mode, max_iter,
+                                                       stream)
+        assert np.array_equal(traj.xs, xs)
+        assert np.array_equal(traj.alphas, alphas)
+        assert np.array_equal(traj.e_xs, e_xs)
+
     @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
     def test_decentralized_matches_per_iteration_loop(self, instance, model, mode):
         g, obj = instance
-        stream = RandomStream(seed=15, trial=1, cell=2)
-        traj = run_decentralized(g, obj, 0.3, model, mode, 100, stream)
-        xs, e_xs = per_iteration_decentralized(g, obj, 0.3, model, mode, 100, stream)
-        assert np.array_equal(traj.xs, xs)
-        assert np.array_equal(traj.e_xs, e_xs)
+        self.check_decentralized(g, obj, model, mode, 100)
+
+    @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_decentralized_matches_per_iteration_loop_at_steady_shape(
+            self, steady_instance, model, mode):
+        g, obj = steady_instance
+        self.check_decentralized(g, obj, model, mode, 420)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
     def test_matrix_form_matches_per_iteration_loop(self, instance, model):
@@ -285,6 +312,22 @@ def test_quantizer_draws_each_message_once(monkeypatch, mode, n_messages):
     run_decentralized(g, obj, 0.5, NoiseModel.quantizer(1e-3), mode, 10,
                       RandomStream(seed=1))
     assert iterations == list(range(n_messages))
+
+
+@pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
+def test_one_neighbor_sum_per_iteration(monkeypatch, mode):
+    """K iterations take K + 1 neighbor sums: one per message, plus the first."""
+    calls = []
+    real = ArcMatrices.neighbor_sum
+
+    def counting(self, x_nodes):
+        calls.append(x_nodes.shape)
+        return real(self, x_nodes)
+
+    monkeypatch.setattr(ArcMatrices, "neighbor_sum", counting)
+    g, obj = small_setup(22)
+    run_decentralized(g, obj, 0.5, NoiseModel.gaussian(1e-2), mode, 10, RandomStream(seed=2))
+    assert len(calls) == 11, calls
 
 
 class TestConvergence:

@@ -112,6 +112,30 @@ class TestKeyedRng:
                 assert np.array_equal(one, block[i])
                 assert np.array_equal(one, masked_polar_normals(s, count))
 
+    def test_uniform_block_matches_scalar_mix_at_edge_values(self):
+        """The uint64 pipeline and its int64-view cast against exact Python integers."""
+        edges = [0, 1, 2**53 - 1, 2**62, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1,
+                 2**64 - 2, 2**64 - 1]
+        states = np.array(edges + [fold_key(9, (i,)) for i in range(4)], dtype=np.uint64)
+        counters = np.array(edges, dtype=np.uint64)
+        block = noise._uniform_block(states[:, None], counters)
+        expected = [[(noise._mix(int(s) + (int(t) + 1) * noise._GOLDEN) >> 11) * 2.0 ** -53
+                     for t in counters] for s in states]
+        assert block.dtype == np.float64
+        assert np.array_equal(block, np.array(expected))
+        assert block.min() >= 0.0 and block.max() < 1.0
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
+    def test_polar_normals_match_masked_reference_over_many_rounds(self, monkeypatch, count):
+        states = np.array([fold_key(8, (i,)) for i in range(1000)], dtype=np.uint64)
+        block = polar_normals(states, count)
+        assert block.shape == (1000, count)
+        assert np.array_equal(block, masked_polar_normals(states, count))
+        # some pair of this state set is accepted only in round 4 or later
+        monkeypatch.setattr(noise, "_MAX_POLAR_ROUNDS", 3)
+        with pytest.raises(RuntimeError, match="polar sampling failed to accept"):
+            polar_normals(states, count)
+
     def test_polar_normals_keep_the_lane_grid_shape(self):
         grid = lane_states(stream(trial=2), np.arange(200), np.arange(40))
         block = polar_normals(grid, 3)

@@ -37,6 +37,22 @@ def all_pairs_sampler(n_nodes, rho, seed):
     raise AssertionError("no connected sample")
 
 
+def union_find_connected(n_nodes, edges):
+    """Reference connectivity check: a union-find over every edge."""
+    parent = list(range(n_nodes))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    root = find(0)
+    return all(find(v) == root for v in range(n_nodes))
+
+
 def path3():
     return Graph.from_edges(3, [(0, 1), (1, 2)])
 
@@ -74,6 +90,50 @@ class TestGraph:
     def test_arc_order_pairs_both_directions(self):
         am = build_arc_matrices(path3())
         assert list(zip(am.tail.tolist(), am.head.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+
+
+class TestIsConnected:
+    @staticmethod
+    def edge_sets():
+        """(n_nodes, canonical edge list) cases, connected and not."""
+        perm = np.random.default_rng(0).permutation(40).tolist()
+        cases = [
+            (2, [(0, 1)]), (2, []), (5, []),
+            (30, [(k, k + 1) for k in range(29)]),                      # path
+            (40, [(perm[k], perm[k + 1]) for k in range(39)]),          # shuffled path
+            (40, [(perm[k], perm[k + 1]) for k in range(39) if k != 17]),
+            (25, [(0, k) for k in range(1, 25)]),                       # star at 0
+            (25, [(k, 24) for k in range(24)]),                         # star at N-1
+            (25, [(k, 24) for k in range(1, 24)]),                      # node 0 isolated
+            (25, [(0, k) for k in range(1, 24)]),                       # node N-1 isolated
+            (8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7)]),  # two parts
+        ]
+        # the sampler's own draws, rejected ones included
+        for n_nodes, n_edges, seed in ((12, 16, 0), (30, 55, 1), (60, 130, 2), (200, 560, 3)):
+            for attempt in range(10):
+                u = keyed_uniforms(seed, (7, attempt), 2 * n_edges)
+                i = (u[:n_edges] * n_nodes).astype(int)
+                j = (u[n_edges:] * n_nodes).astype(int)
+                cases.append((n_nodes, [(a, b) for a, b in zip(i, j) if a != b]))
+        return [(n_nodes, sorted({(min(a, b), max(a, b)) for a, b in edges}))
+                for n_nodes, edges in cases]
+
+    def test_agrees_with_union_find(self):
+        outcomes = set()
+        for n_nodes, edges in self.edge_sets():
+            expected = union_find_connected(n_nodes, edges)
+            edge_array = np.array(edges, dtype=np.intp).reshape(-1, 2)
+            assert topology._is_connected(n_nodes, edge_array) == expected, (n_nodes, edges)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_graph_accepts_exactly_the_connected_edge_sets(self):
+        for n_nodes, edges in self.edge_sets():
+            if union_find_connected(n_nodes, edges):
+                assert Graph(n_nodes=n_nodes, edges=tuple(edges)).n_edges == len(edges)
+            else:
+                with pytest.raises(ValueError, match="graph is not connected"):
+                    Graph(n_nodes=n_nodes, edges=tuple(edges))
 
 
 class TestGenConnectedGraph:
