@@ -53,8 +53,10 @@ stack of the two, whose slices equal the separate sums bit for bit.  A run
 of K iterations therefore takes K + 1 neighbor sums in either mode.
 
 A :class:`Trajectory` holds only engine state (iterates, per-node duals,
-error blocks and the initial arc dual); :meth:`Trajectory.arc_states`
-streams the arc variables z and beta from it, one iteration at a time.
+error blocks and the initial arc dual); :meth:`Trajectory.arc_blocks`
+streams the arc variables z and beta from it in blocks of iterations,
+with one gather of x[tail] and x[head] per block, and
+:meth:`Trajectory.arc_states` yields the same rows one at a time.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class Trajectory:
     Only engine state is stored.  ``e_xs[k]`` is the error block added to
     the messages carrying iterate k; ``alphas`` is the per-node dual the
     engine carried; the arc variables follow from ``xs`` and the initial
-    arc dual ``beta0`` through :meth:`arc_states`.  ``alphas``/``e_xs``/
+    arc dual ``beta0`` through :meth:`arc_blocks` (or row by row through
+    :meth:`arc_states`).  ``alphas``/``e_xs``/
     ``beta0`` are None for metric-only runs (record "light"); analysis
     functions require a full record.
     """
@@ -119,22 +122,47 @@ class Trajectory:
     def n_iter(self) -> int:
         return self.xs.shape[0] - 1
 
-    def arc_states(self):
-        """Yield the arc variables (z^k, beta^k) for k = 0..K, in iteration order:
+    @property
+    def block_rows(self) -> int:
+        """Iterations per block of :meth:`arc_blocks`: about _CHUNK_LANES arcs."""
+        return max(1, _CHUNK_LANES // self.graph.n_arcs)
+
+    def arc_blocks(self):
+        """Yield the arc variables (z, beta) for k = 0..K, in blocks of iterations:
 
             z^k    = 0.5 * Mplus.T x^k
             beta^k = beta^{k-1} + (c/2) * Mminus.T x^k,   beta^0 = beta0
 
-        Each pair is derived when it is reached, so no (K+1, 2E, n) history
-        is built.  Needs a full record.
+        Each block holds :attr:`block_rows` iterations (fewer in the last),
+        as two new (B, 2E, n) arrays that a caller may modify.  Both come
+        from one gather of x[tail] and x[head] per block, and beta
+        accumulates row by row in iteration order, so every row equals the
+        one-step formula bit for bit.  Needs a full record.
         """
         self.require_full()
         am = build_arc_matrices(self.graph)
-        beta = self.beta0
-        for k, x in enumerate(self.xs):
-            if k:
-                beta = beta + (0.5 * self.c) * am.apply_mminus_t(x)
-            yield 0.5 * am.apply_mplus_t(x), beta
+        rows = self.block_rows
+        half_c = 0.5 * self.c
+        beta = self.beta0  # beta^{k-1} of the next block's first row
+        for start in range(0, len(self), rows):
+            x_tail, x_head = am.arc_ends(self.xs[start:start + rows])
+            z = x_tail + x_head
+            z *= 0.5
+            betas = np.subtract(x_tail, x_head, out=x_tail)
+            betas *= half_c
+            if start:
+                np.add(beta, betas[0], out=betas[0])
+            else:
+                betas[0] = beta
+            for k in range(1, len(betas)):
+                np.add(betas[k - 1], betas[k], out=betas[k])
+            beta = betas[-1].copy()
+            yield z, betas
+
+    def arc_states(self):
+        """Yield (z^k, beta^k) for k = 0..K: the rows of :meth:`arc_blocks`."""
+        for zs, betas in self.arc_blocks():
+            yield from zip(zs, betas)
 
     def require_full(self) -> None:
         if self.alphas is None or self.e_xs is None or self.beta0 is None:
@@ -164,12 +192,22 @@ def reference_point(g: Graph, obj: ObjectiveSet) -> ReferencePoint:
 
 
 def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
-    """The squared weighted primal-dual error at every iteration."""
+    """The squared weighted primal-dual error at every iteration.
+
+    Computed on :meth:`Trajectory.arc_blocks`; each iteration's squares are
+    summed over its flattened (2E * n) arc entries, as for one array.
+    """
     out = np.empty(len(traj))
-    for k, (z, beta) in enumerate(traj.arc_states()):
-        dz = z - ref.z_star
-        db = beta - ref.beta_star
-        out[k] = traj.c * np.sum(dz * dz) + np.sum(db * db) / traj.c
+    start = 0
+    for dz, db in traj.arc_blocks():
+        rows = slice(start, start + len(dz))
+        dz -= ref.z_star
+        db -= ref.beta_star
+        dz *= dz
+        db *= db
+        out[rows] = (traj.c * dz.reshape(len(dz), -1).sum(axis=1)
+                     + db.reshape(len(db), -1).sum(axis=1) / traj.c)
+        start = rows.stop
     return out
 
 

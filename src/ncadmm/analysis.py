@@ -180,15 +180,19 @@ def error_gates(traj: Trajectory, xerr: np.ndarray) -> np.ndarray:
     """The error gate ||e_z^k|| <= ||x^{k+1} - x*|| at every step k, shape (K,).
 
     ``xerr`` is :func:`x_err_series` of the same run.  e_z^k is the exact
-    arc-space error derived, one step at a time, from the recorded noise
-    realization, so the trajectory needs a full record.
+    arc-space error derived from the recorded noise realization, one block
+    of :attr:`Trajectory.block_rows` steps at a time, so the trajectory
+    needs a full record.
     """
     traj.require_full()
     am = build_arc_matrices(traj.graph)
     gates = np.empty(traj.n_iter, dtype=bool)
-    for k, e_x in enumerate(traj.e_xs):
-        e_z = derive_ez_block(e_x, am)
-        gates[k] = np.sqrt(np.sum(e_z * e_z)) <= xerr[k + 1]
+    rows = traj.block_rows
+    for start in range(0, traj.n_iter, rows):
+        e_z = derive_ez_block(traj.e_xs[start:start + rows], am)
+        e_z *= e_z
+        norms = np.sqrt(e_z.reshape(len(e_z), -1).sum(axis=1))
+        gates[start:start + rows] = norms <= xerr[start + 1:start + rows + 1]
     return gates
 
 

@@ -27,8 +27,9 @@ from .analysis import (audit_contraction, edc_metric, error_gates,
                        x_err_series)
 from .config import (ConfigError, ExperimentConfig, default_config,
                      full_config, load_config)
-from .experiment import (emit_csv, emit_svg, format_sci, preflight_reports,
-                         require_finite, run_experiment, trial_instance)
+from .experiment import (emit_csv, emit_svg, format_sci_column,
+                         preflight_reports, require_finite, run_experiment,
+                         trial_instance)
 from .noise import RandomStream
 # not called here; ncbench/tracing.py wraps cli.derive_ez_block and
 # cli.make_problem by name
@@ -178,10 +179,9 @@ def _cmd_run(args) -> int:
     for name, series in (("gnorm_sq", gnorm), ("x_err_2", xerr), ("edc_mean", edc)):
         require_finite(series, f"{name} at c={c:g} sigma_e={sigma_e:g}")
     lines = ["k,gnorm_sq,x_err_2,edc_mean,gate_satisfied"]
-    for k in range(len(traj)):
-        gate = str(int(gates[k])) if k < traj.n_iter else ""
-        lines.append(f"{k},{format_sci(gnorm[k])},{format_sci(xerr[k])},"
-                     f"{format_sci(edc[k])},{gate}")
+    gate_strs = [str(int(gate)) for gate in gates] + [""]
+    columns = zip(*map(format_sci_column, (gnorm, xerr, edc)), gate_strs)
+    lines += [f"{k},{g_s},{x_s},{e_s},{gate}" for k, (g_s, x_s, e_s, gate) in enumerate(columns)]
     _write_lines(lines, args.out)
     return 0
 
@@ -204,10 +204,12 @@ def _cmd_audit(args) -> int:
     lines = ["k,gnorm_ratio,gate_satisfied,skipped,checked,x_bound_slack,violation"]
     contraction = set(audit.contraction_violations)
     x_bound = set(audit.x_bound_violations)
+    ratios = format_sci_column(np.where(audit.skipped, 0.0, audit.ratios))
+    has_slack = np.isfinite(audit.x_bound_slack)
+    slacks = format_sci_column(np.where(has_slack, audit.x_bound_slack, 0.0))
     for k in range(traj.n_iter):
-        ratio = "" if audit.skipped[k] else format_sci(audit.ratios[k])
-        slack = audit.x_bound_slack[k]
-        slack_str = format_sci(slack) if np.isfinite(slack) else ""
+        ratio = "" if audit.skipped[k] else ratios[k]
+        slack_str = slacks[k] if has_slack[k] else ""
         lines.append(f"{k},{ratio},{int(audit.gates[k])},{int(audit.skipped[k])},"
                      f"{int(audit.checked[k])},{slack_str},"
                      f"{int(k in contraction or k in x_bound)}")

@@ -157,13 +157,29 @@ def format_sci(x: float) -> str:
     Zero (either sign) is the canonical ``0e0``; exponents carry no sign
     padding or leading zeros.
     """
-    x = float(x)
-    if x == 0.0:
-        return "0e0"
-    if not np.isfinite(x):
-        raise ValueError(f"non-finite value in output: {x}")
-    mantissa, exponent = f"{x:.16e}".split("e")
-    return f"{mantissa}e{int(exponent)}"
+    return format_sci_column([x])[0]
+
+
+def format_sci_column(values) -> list[str]:
+    """:func:`format_sci` of every entry of ``values``, in C order.
+
+    The whole array is formatted by one ``%`` operation.  "%.16e" writes
+    the exponent with a sign and at least two digits (e+05, e-12, e+308),
+    and only a two-digit exponent can start with a zero, so dropping "+"
+    and one leading zero gives the exponents of :func:`format_sci`.  A
+    non-finite entry raises the ``ValueError`` that formatting the entries
+    one by one would raise first.
+    """
+    flat = np.asarray(values, dtype=float).reshape(-1)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise ValueError(f"non-finite value in output: {float(flat[np.argmin(finite)])}")
+    text = ("%.16e," * flat.size) % tuple(flat.tolist())
+    text = text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
+    strings = text.split(",")[:-1]
+    for i in np.flatnonzero(flat == 0.0).tolist():
+        strings[i] = "0e0"
+    return strings
 
 
 def emit_csv(result: SweepResult, path) -> None:
@@ -171,12 +187,10 @@ def emit_csv(result: SweepResult, path) -> None:
     order = sorted(range(len(result.cells)), key=lambda i: result.cells[i])
     lines = ["c,sigma_e,k,mean_edc,std_edc"]
     for i in order:
-        c, sigma_e = result.cells[i]
-        c_s, sig_s = format_sci(c), format_sci(sigma_e)
-        mean_row = result.mean[i]
-        std_row = result.std[i]
-        for k in range(mean_row.shape[0]):
-            lines.append(f"{c_s},{sig_s},{k},{format_sci(mean_row[k])},{format_sci(std_row[k])}")
+        c_s, sig_s = format_sci_column(result.cells[i])
+        values = format_sci_column(np.stack([result.mean[i], result.std[i]], axis=1))
+        lines += [f"{c_s},{sig_s},{k},{mean},{std}"
+                  for k, (mean, std) in enumerate(zip(values[0::2], values[1::2]))]
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -268,16 +268,18 @@ def sample_error_block(
             return np.zeros(shape)
         t = x_nodes / model.delta
         quantized = model.delta * (np.sign(t) * np.floor(np.abs(t) + 0.5))
-        return np.broadcast_to(quantized - x_nodes, shape).copy()
+        error = quantized - x_nodes
+        return error if np.ndim(iteration) == 0 else np.broadcast_to(error, shape).copy()
 
     normals = polar_normals(lane_states(stream, np.arange(n_rows), iteration), dim)
     if model.kind == "gaussian":
         return model.sigma_e * normals
-    # fixed_norm: normalize each row to sigma_e exactly
-    norms = np.linalg.norm(normals, axis=-1, keepdims=True)
+    # fixed_norm: normalize each row to sigma_e exactly; this is np.linalg.norm
+    norms = np.sqrt(np.add.reduce(normals * normals, -1, keepdims=True))
+    positive = norms > 0.0
+    directions = normals / np.where(positive, norms, 1.0)
     # an all-zero draw has probability zero; fall back to a fixed direction
-    safe = np.where(norms > 0.0, norms, 1.0)
-    directions = np.where(norms > 0.0, normals / safe, _unit_first_axis(dim))
+    directions[~positive[..., 0]] = _unit_first_axis(dim)
     return model.sigma_e * directions
 
 
@@ -292,4 +294,6 @@ def derive_ez_block(e_x_nodes: np.ndarray, am) -> np.ndarray:
     e_x = np.asarray(e_x_nodes, dtype=float)
     if e_x.ndim < 2 or e_x.shape[-2] != am.n_nodes:
         raise ValueError(f"error block of shape {e_x.shape} needs N={am.n_nodes} node rows")
-    return 0.5 * am.apply_mplus_t(e_x)
+    e_z = am.apply_mplus_t(e_x)
+    e_z *= 0.5
+    return e_z

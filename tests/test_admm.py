@@ -297,6 +297,106 @@ class TestChunkedDraws:
         assert not error_gates(traj, np.nextafter(at, -np.inf)).any()
 
 
+def per_step_arc_states(traj):
+    """(z^k, beta^k) one iteration at a time, gathered by fancy indexing."""
+    am = build_arc_matrices(traj.graph)
+    beta = traj.beta0
+    for k, x in enumerate(traj.xs):
+        if k:
+            beta = beta + (0.5 * traj.c) * (x[am.tail] - x[am.head])
+        yield 0.5 * (x[am.tail] + x[am.head]), beta
+
+
+def per_step_gnorm(traj, ref):
+    """The per-iteration gnorm loop that the blocked series replaced."""
+    out = np.empty(len(traj))
+    for k, (z, beta) in enumerate(per_step_arc_states(traj)):
+        dz = z - ref.z_star
+        db = beta - ref.beta_star
+        out[k] = traj.c * np.sum(dz * dz) + np.sum(db * db) / traj.c
+    return out
+
+
+def per_step_ez_norms(traj):
+    """||e_z^k|| one step at a time, as the per-step gate loop computed it."""
+    am = build_arc_matrices(traj.graph)
+    norms = np.empty(traj.n_iter)
+    for k, e_x in enumerate(traj.e_xs):
+        e_z = 0.5 * (e_x[am.tail] + e_x[am.head])
+        norms[k] = np.sqrt(np.sum(e_z * e_z))
+    return norms
+
+
+class TestBlockedSeries:
+    """gnorm, the gates and the arc states equal the per-step loops across block edges.
+
+    At N=20, rho=0.3 (114 arcs) a block is 71 iterations, so K=150 gives
+    two whole blocks and a remainder; the complete graph on N=100 has
+    9,900 arcs, more than one block's worth, so every block is one row.
+    """
+
+    SHAPES = {"remainder": (20, 0.3, 150), "one_row": (100, 1.0, 5)}
+    ALL_KINDS = [NoiseModel.none(), NoiseModel.gaussian(1e-2),
+                 NoiseModel.quantizer(1e-3), NoiseModel.fixed_norm(1e-2)]
+
+    @pytest.fixture(scope="class", params=list(SHAPES))
+    def shape(self, request):
+        n_nodes, rho, max_iter = self.SHAPES[request.param]
+        g = gen_connected_graph(n_nodes, rho, seed=31)
+        obj, _ = make_problem(n_nodes, 3, 1e-3, "well_conditioned", seed=32)
+        return g, obj, reference_point(g, obj), max_iter
+
+    def test_block_sizes(self, shape):
+        g, obj, _, max_iter = shape
+        traj = run_decentralized(g, obj, 0.3, NoiseModel.none(), ANALYSIS_FAITHFUL,
+                                 max_iter, RandomStream(seed=1))
+        rows = [len(z) for z, _ in traj.arc_blocks()]
+        expected = {20: [71, 71, 9], 100: [1] * 6}[g.n_nodes]
+        assert traj.block_rows == expected[0] == max(1, admm._CHUNK_LANES // g.n_arcs)
+        assert rows == expected
+
+    @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_equal_to_per_step_loops(self, shape, model, mode):
+        g, obj, ref, max_iter = shape
+        traj = run_decentralized(g, obj, 0.3, model, mode, max_iter,
+                                 RandomStream(seed=18, trial=1, cell=2))
+        assert np.array_equal(gnorm_series(traj, ref), per_step_gnorm(traj, ref))
+        for (z, beta), (z_ref, beta_ref) in zip(traj.arc_states(), per_step_arc_states(traj),
+                                                strict=True):
+            assert np.array_equal(z, z_ref)
+            assert np.array_equal(beta, beta_ref)
+        # thresholds at the per-step norm and one ulp below it pin each
+        # blocked norm to that value exactly
+        at = np.concatenate([[0.0], per_step_ez_norms(traj)])
+        assert error_gates(traj, at).all()
+        assert not error_gates(traj, np.nextafter(at, -np.inf)).any()
+
+    def test_arc_states_can_be_kept(self, shape):
+        g, obj, _, max_iter = shape
+        traj = run_decentralized(g, obj, 0.3, NoiseModel.gaussian(1e-2), BROADCAST,
+                                 max_iter, RandomStream(seed=19))
+        zs, betas = arc_history(traj)
+        assert np.array_equal(zs, np.stack([z for z, _ in per_step_arc_states(traj)]))
+        assert np.array_equal(betas, np.stack([b for _, b in per_step_arc_states(traj)]))
+
+    def test_gnorm_gathers_once_per_block(self, shape, monkeypatch):
+        g, obj, ref, max_iter = shape
+        traj = run_decentralized(g, obj, 0.3, NoiseModel.gaussian(1e-2), ANALYSIS_FAITHFUL,
+                                 max_iter, RandomStream(seed=20))
+        gathered = []
+        real = ArcMatrices.arc_ends
+
+        def counting(self, x_nodes, *args, **kwargs):
+            gathered.append(x_nodes.shape[0])
+            return real(self, x_nodes, *args, **kwargs)
+
+        monkeypatch.setattr(ArcMatrices, "arc_ends", counting)
+        gnorm_series(traj, ref)
+        rows = traj.block_rows
+        assert gathered == [min(rows, len(traj) - start) for start in range(0, len(traj), rows)]
+
+
 @pytest.mark.parametrize("mode, n_messages", [(ANALYSIS_FAITHFUL, 10), (BROADCAST, 11)])
 def test_quantizer_draws_each_message_once(monkeypatch, mode, n_messages):
     """K=10 iterations carry 10 perturbed iterates, 11 in broadcast (the last one too)."""

@@ -7,6 +7,7 @@ from ncadmm.cli import main
 from ncadmm.config import (AdmmConfig, ExperimentConfig, GraphConfig,
                            NoiseConfig, OutputConfig, ProblemConfig)
 from ncadmm.experiment import (SweepResult, emit_csv, emit_svg, format_sci,
+                               format_sci_column,
                                preflight_reports, run_experiment, run_trial)
 
 
@@ -44,6 +45,39 @@ class TestFormatSci:
             format_sci(float("nan"))
         with pytest.raises(ValueError):
             format_sci(float("inf"))
+
+    @staticmethod
+    def format_one(x):
+        """The per-value formatter the column helper replaced."""
+        x = float(x)
+        if x == 0.0:
+            return "0e0"
+        if not np.isfinite(x):
+            raise ValueError(f"non-finite value in output: {x}")
+        mantissa, exponent = f"{x:.16e}".split("e")
+        return f"{mantissa}e{int(exponent)}"
+
+    def test_column_equals_per_value_strings(self):
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2 ** 63, 20_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        values = np.concatenate([values * rng.choice([-1.0, 1.0], values.size),
+                                 rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 308, 2000),
+                                 [0.0, -0.0, 5e-324, -5e-324, 1.0, 10.0, 1e100, 1e-100,
+                                  1.7976931348623157e308, 0.1, 123456789.0]])
+        assert format_sci_column(values) == [self.format_one(v) for v in values]
+        grid = values[:12].reshape(3, 4)
+        assert format_sci_column(grid) == [self.format_one(v) for v in grid.ravel()]
+
+    @pytest.mark.parametrize("bad", [[1.0, np.inf, 0.0, np.nan], [0.0, np.nan, -np.inf],
+                                     [-np.inf, 2.0]])
+    def test_column_raises_the_first_per_value_error(self, bad):
+        with pytest.raises(ValueError) as one:
+            [self.format_one(v) for v in bad]
+        with pytest.raises(ValueError) as column:
+            format_sci_column(bad)
+        assert str(column.value) == str(one.value)
 
 
 class TestRunExperiment:

@@ -198,6 +198,39 @@ class TestNoiseModel:
         e = one_error(NoiseModel.fixed_norm(2.0), np.zeros(1), stream())
         assert abs(e[0]) == pytest.approx(2.0)
 
+    def test_fixed_norm_divides_by_linalg_norm(self):
+        iterations = np.arange(300)
+        normals = polar_normals(lane_states(stream(), np.arange(20), iterations), 3)
+        expected = 0.2 * (normals / np.linalg.norm(normals, axis=-1, keepdims=True))
+        blk = sample_error_block(NoiseModel.fixed_norm(0.2), np.zeros((20, 3)), stream(),
+                                 iterations)
+        assert np.array_equal(blk, expected)
+
+    def test_fixed_norm_all_zero_draw_falls_back_to_first_axis(self, monkeypatch):
+        real = noise.polar_normals
+
+        def one_zero_row(states, count):
+            normals = real(states, count)
+            normals[..., 1, :] = 0.0
+            return normals
+
+        monkeypatch.setattr(noise, "polar_normals", one_zero_row)
+        for iteration in (4, np.arange(4, 7)):
+            e = sample_error_block(NoiseModel.fixed_norm(0.5), np.zeros((3, 3)), stream(),
+                                   iteration)
+            assert np.all(e[..., 1, :] == [0.5, 0.0, 0.0])
+            assert np.allclose(np.linalg.norm(e, axis=-1), 0.5, rtol=1e-15)
+
+    def test_quantizer_scalar_iteration_is_a_fresh_row_of_the_block(self):
+        q = NoiseModel.quantizer(0.1)
+        x = np.linspace(-1.234, 2.345, 21).reshape(7, 3)
+        one = sample_error_block(q, x, stream(), 5)
+        block = sample_error_block(q, x, stream(), np.arange(4, 7))
+        assert np.array_equal(one, block[1])
+        assert one.flags.writeable and one.flags.c_contiguous
+        assert not np.shares_memory(one, x)
+        assert not np.shares_memory(one, sample_error_block(q, x, stream(), 5))
+
 
 class TestDeterminism:
     def test_same_coordinates_same_draw(self):

@@ -74,6 +74,18 @@ class TestGraph:
         with pytest.raises(ValueError, match="connected"):
             Graph.from_edges(4, [(0, 1), (2, 3)])
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(1, 0), (1, 2)], r"edge \(1, 0\) is not canonical"),
+        ([(0, 1), (1, 3)], r"edge \(1, 3\) is not canonical"),
+        ([(0, 2), (0, 1), (1, 1)], "sorted and unique"),
+        ([(0, 1), (0, 1), (1, 2)], "sorted and unique"),
+        ([(0, 1), (1, 2), (0, 2)], "sorted and unique"),
+        ([(0, 1), (1, 2, 0)], "unpack"),
+    ])
+    def test_rejects_non_canonical_edges_at_the_first_offender(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n_nodes=3, edges=tuple(edges))
+
     def test_from_edges_canonicalizes(self):
         g = Graph.from_edges(3, [(2, 1), (1, 0), (0, 1)])
         assert g.edges == ((0, 1), (1, 2))
