@@ -214,7 +214,8 @@ def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
 def x_err_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
     """Stacked-vector distances ||x^k - x*||_2 at every iteration."""
     d = traj.xs - ref.x_star
-    return np.sqrt(np.sum(d * d, axis=(1, 2)))
+    d *= d
+    return np.sqrt(np.sum(d, axis=(1, 2)))
 
 
 def _solve_operators(g: Graph, obj: ObjectiveSet, c: float) -> np.ndarray:
@@ -285,7 +286,6 @@ def run_decentralized(
         raise ValueError(f"unknown placement mode {mode!r}; expected one of {PLACEMENT_MODES}")
     n_nodes, dim = g.n_nodes, obj.dim
     am = build_arc_matrices(g)
-    degrees = g.degrees.astype(float)[:, None]
     inv_ops = _solve_operators(g, obj, c)
 
     full = record == "full"
@@ -301,31 +301,54 @@ def run_decentralized(
         e_xs = np.empty((max_iter, n_nodes, dim))
         beta0 = np.zeros((g.n_arcs, dim))
 
+    # Every step works on same-shape (N, n) operands in preallocated
+    # buffers: numpy's per-call cost, not arithmetic, sets the speed here.
+    # stack holds [x, x_hat]; w[0] becomes the dual increment
+    # c (|N_i| x_i - sum_j x_j) and w[1] the x-update term
+    # c (|N_i| own_i + sum_j x_hat_j), each rounded as the one-line formula.
+    deg2 = np.broadcast_to(g.degrees.astype(float)[:, None], (2, n_nodes, dim)).copy()
+    stack = np.empty((2, n_nodes, dim))
+    w = np.empty((2, n_nodes, dim))
+    rhs = np.empty((n_nodes, dim))
+
     # broadcast also perturbs the message carrying the final iterate; that
     # message is drawn and summed once and feeds the next x-update as well
     faithful = mode == ANALYSIS_FAITHFUL
     n_draws = max_iter if faithful else max_iter + 1
     error = _error_source(model, stream, n_nodes, n_draws)
     e_k = error(0, x)
-    x_hat = x + e_k
-    nb_hat = am.neighbor_sum(x_hat)
-    # analysis_faithful sums x^{k+1} and its message x^{k+1} + e^{k+1} in one call
-    pair = np.empty((2, n_nodes, dim))
+    np.add(x, e_k, out=stack[1])
+    np.multiply(deg2[1], stack[1] if faithful else x, out=w[1])
+    w[1] += am.neighbor_sum(stack[1])
+    w[1] *= c
+    np.subtract(obj.rhs, alpha, out=rhs)
+    rhs += w[1]
     for k in range(max_iter):
-        own = x_hat if faithful else x
-        rhs = obj.rhs - alpha + c * (degrees * own + nb_hat)
         x = np.einsum("nij,nj->ni", inv_ops, rhs, out=xs[k + 1])
         e_next = error(k + 1, x) if k + 1 < n_draws else None
         if not faithful:
-            x_hat = x + e_next
-            nb_reported = nb_hat = am.neighbor_sum(x_hat)
+            # one product d x^{k+1}: minus the sum for the dual, plus it for the x-update
+            nb_hat = am.neighbor_sum(np.add(x, e_next, out=stack[1]))
+            np.multiply(deg2[0], x, out=w[0])
+            np.add(w[0], nb_hat, out=w[1])
+            w[0] -= nb_hat
         elif e_next is None:
-            nb_reported = am.neighbor_sum(x)
+            # the final analysis_faithful step: no message, no next x-update
+            np.multiply(deg2[0], x, out=w[0])
+            w[0] -= am.neighbor_sum(x)
+            w[1] = 0.0
         else:
-            pair[0] = x
-            x_hat = np.add(x, e_next, out=pair[1])
-            nb_reported, nb_hat = am.neighbor_sum(pair)
-        alpha = alpha + c * (degrees * x - nb_reported)
+            # x^{k+1} and its message x^{k+1} + e^{k+1}, summed in one call
+            stack[0] = x
+            np.add(x, e_next, out=stack[1])
+            nb = am.neighbor_sum(stack)
+            np.multiply(deg2, stack, out=w)
+            w[0] -= nb[0]
+            w[1] += nb[1]
+        w *= c
+        alpha += w[0]
+        np.subtract(obj.rhs, alpha, out=rhs)
+        rhs += w[1]
 
         if full:
             alphas[k + 1] = alpha

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .admm import ReferencePoint, Trajectory, gnorm_series, x_err_series
-from .noise import derive_ez_block
+from .noise import derive_ez_block, sum_last_axis
 from .topology import Graph, SpectralSummary, build_arc_matrices
 
 _RATIO_FLOOR = 1e-14
@@ -296,5 +296,8 @@ def edc_metric(traj: Trajectory, x_central: np.ndarray) -> np.ndarray:
     if denom <= 0.0:
         raise ValueError("centralized estimate has zero norm; the metric is undefined")
     d = traj.xs - x_central
-    per_node = np.sqrt(np.sum(d * d, axis=2)) / denom  # (K+1, N)
+    d *= d
+    per_node = sum_last_axis(d)  # (K+1, N)
+    np.sqrt(per_node, out=per_node)
+    per_node /= denom
     return per_node.mean(axis=1)

@@ -252,13 +252,14 @@ def emit_svg(result: SweepResult, path) -> None:
                  f'font-family="monospace" font-size="13" '
                  f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">mean E_DC</text>')
 
+    # the polylines' pixels, rounded as x_px and y_px round each point
+    xs = (left + plot_w * (np.arange(n_k) / max(1, n_k - 1))).tolist()
+    ys = top + plot_h * (hi - np.log10(curves)) / (hi - lo)
     order = sorted(range(len(result.cells)), key=lambda i: result.cells[i])
     for slot, i in enumerate(order):
         c, sigma_e = result.cells[i]
         color = _PALETTE[slot % len(_PALETTE)]
-        points = " ".join(
-            f"{x_px(k):.2f},{y_px(curves[i, k]):.2f}" for k in range(n_k)
-        )
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys[i].tolist())))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      'stroke-width="1.5"/>')
         ly = top + 16 + 18 * slot

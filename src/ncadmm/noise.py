@@ -2,8 +2,10 @@
 
 Every random draw in the package is a pure function of an integer seed plus
 integer coordinates, so trajectories are bit-reproducible and independent of
-call order, thread scheduling, or numpy version.  The generator is SplitMix64
-run in counter mode:
+call order and thread scheduling.  The integer streams are the same under
+any numpy version or platform; the floats made from them (``log`` in the
+polar transform) follow the numpy build.  The generator is SplitMix64 run
+in counter mode:
 
     state   = fold(seed, coords)             (64-bit hash of the coordinates)
     u64(t)  = mix(state + (t+1) * GOLDEN)    (t-th raw output, no carried state)
@@ -137,7 +139,8 @@ def _polar_attempt(states: np.ndarray, counters: np.ndarray):
         f *= -2.0
         f /= s
         np.sqrt(f, out=f)
-    uv *= f[:, None]
+    u *= f
+    v *= f
     return uv.view(np.complex128)[:, 0], (s > 0.0) & (s < 1.0)
 
 
@@ -275,12 +278,32 @@ def sample_error_block(
     if model.kind == "gaussian":
         return model.sigma_e * normals
     # fixed_norm: normalize each row to sigma_e exactly; this is np.linalg.norm
-    norms = np.sqrt(np.add.reduce(normals * normals, -1, keepdims=True))
+    norms = np.sqrt(sum_last_axis(normals * normals))
     positive = norms > 0.0
-    directions = normals / np.where(positive, norms, 1.0)
+    norms = np.where(positive, norms, 1.0)
+    directions = np.empty(normals.shape)
+    for j in range(dim):
+        np.divide(normals[..., j], norms, out=directions[..., j])
     # an all-zero draw has probability zero; fall back to a fixed direction
-    directions[~positive[..., 0]] = _unit_first_axis(dim)
-    return model.sigma_e * directions
+    directions[~positive] = _unit_first_axis(dim)
+    directions *= model.sigma_e
+    return directions
+
+
+def sum_last_axis(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1)``, bit for bit, as whole-array column adds.
+
+    numpy adds fewer than 8 trailing terms left to right, so for short rows
+    the n - 1 adds over long strided columns give the same sums without a
+    reduction whose inner loop is only n long; from 8 terms on numpy sums
+    in unrolled partial sums, and the reduction is used as is.
+    """
+    if a.shape[-1] >= 8:
+        return np.add.reduce(a, axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
 
 
 def _unit_first_axis(dim: int) -> np.ndarray:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ncadmm import admm
-from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, gnorm_series,
-                         reference_point, run_decentralized, run_matrix_form,
-                         x_err_series)
+from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, ReferencePoint, Trajectory,
+                         gnorm_series, reference_point, run_decentralized,
+                         run_matrix_form, x_err_series)
 from ncadmm.analysis import edc_metric, error_gates
 from ncadmm.noise import NoiseModel, RandomStream, sample_error_block
 from ncadmm.objective import ObjectiveSet, make_problem
@@ -234,12 +234,15 @@ class TestChunkedDraws:
         return g, obj
 
     @staticmethod
-    def check_decentralized(g, obj, model, mode, max_iter):
+    def check_decentralized(g, obj, model, mode, max_iter, record="full"):
         stream = RandomStream(seed=15, trial=1, cell=2)
-        traj = run_decentralized(g, obj, 0.3, model, mode, max_iter, stream)
+        traj = run_decentralized(g, obj, 0.3, model, mode, max_iter, stream, record=record)
         xs, alphas, e_xs = per_iteration_decentralized(g, obj, 0.3, model, mode, max_iter,
                                                        stream)
         assert np.array_equal(traj.xs, xs)
+        if record == "light":
+            assert traj.alphas is None and traj.e_xs is None and traj.beta0 is None
+            return
         assert np.array_equal(traj.alphas, alphas)
         assert np.array_equal(traj.e_xs, e_xs)
 
@@ -255,6 +258,13 @@ class TestChunkedDraws:
             self, steady_instance, model, mode):
         g, obj = steady_instance
         self.check_decentralized(g, obj, model, mode, 420)
+
+    @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_light_record_matches_per_iteration_loop(self, instance, model, mode):
+        """The sweep's record: x only, from the same buffered step."""
+        g, obj = instance
+        self.check_decentralized(g, obj, model, mode, 100, record="light")
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
     def test_matrix_form_matches_per_iteration_loop(self, instance, model):
@@ -528,3 +538,16 @@ class TestValidationAndRecording:
         manual = [np.linalg.norm((traj.xs[k] - ref.x_star).reshape(-1))
                   for k in range(6)]
         assert np.allclose(x_err_series(traj, ref), manual, atol=0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_x_err_series_equals_whole_history_formula(self, dim):
+        """Squaring in place leaves every distance bit-identical to sqrt(sum(d * d))."""
+        rng = np.random.default_rng(dim)
+        g = gen_connected_graph(12, 0.4, seed=dim)
+        xs = rng.standard_normal((40, 12, dim)) * rng.choice([1e-9, 1.0, 1e6], (40, 12, dim))
+        x_star = np.tile(rng.standard_normal(dim), (12, 1))
+        traj = Trajectory(graph=g, c=0.5, xs=xs, alphas=None, e_xs=None, beta0=None)
+        ref = ReferencePoint(x_star=x_star, z_star=None, beta_star=None,
+                             x_central=x_star[0])
+        d = xs - x_star
+        assert np.array_equal(x_err_series(traj, ref), np.sqrt(np.sum(d * d, axis=(1, 2))))

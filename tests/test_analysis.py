@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncadmm.admm import (ANALYSIS_FAITHFUL, gnorm_series, reference_point,
+from ncadmm.admm import (ANALYSIS_FAITHFUL, Trajectory, gnorm_series, reference_point,
                          run_decentralized, run_matrix_form, x_err_series)
 from ncadmm.analysis import (audit_contraction, edc_metric, error_gates,
                              mu_grid, optimize_delta, steady_state_check,
@@ -282,6 +282,18 @@ class TestEdcMetric:
             for i in range(g.n_nodes)
         ]) / np.linalg.norm(ref.x_central)
         assert edc[k] == pytest.approx(manual, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 9])
+    def test_equals_whole_history_formula(self, dim):
+        """Column adds over the squared history give the axis-2 sum's bits."""
+        rng = np.random.default_rng(dim)
+        g = gen_connected_graph(12, 0.4, seed=dim)
+        xs = rng.standard_normal((40, 12, dim)) * rng.choice([1e-9, 1.0, 1e6], (40, 12, dim))
+        x_central = rng.standard_normal(dim)
+        traj = Trajectory(graph=g, c=0.5, xs=xs, alphas=None, e_xs=None, beta0=None)
+        d = xs - x_central
+        per_node = np.sqrt(np.sum(d * d, axis=2)) / float(np.linalg.norm(x_central))
+        assert np.array_equal(edc_metric(traj, x_central), per_node.mean(axis=1))
 
     def test_zero_centralized_norm_rejected(self):
         g, obj, spec, c = certified_setup(10)

@@ -260,6 +260,34 @@ class TestEmitSvg:
         path = tmp_path / "clamp.svg"
         emit_svg(res, path)  # must not raise on the log map
 
+    @pytest.mark.parametrize("n_k", [1, 2, 501])
+    def test_polylines_equal_per_point_formula(self, tmp_path, n_k):
+        """Every point's text equals the scalar x_px/y_px formula, byte for byte."""
+        rng = np.random.default_rng(n_k)
+        mean = 10.0 ** rng.uniform(-20.0, 1.0, (4, n_k))
+        mean[0, ::2] = 0.0
+        mean[1, -1] = -1.0
+        cells = [(10.0, 1e-2), (0.1, 1e-3), (1.0, 1e-2), (0.1, 1e-2)]
+        res = SweepResult(cells=cells, mean=mean, std=np.zeros_like(mean),
+                          trials=1, wall_time=0.0)
+        path = tmp_path / "curves.svg"
+        emit_svg(res, path)
+        polylines = [part.split('"')[0]
+                     for part in path.read_text().split('<polyline points="')[1:]]
+
+        curves = np.maximum(mean, 1e-16)
+        lo = np.floor(np.log10(curves.min()))
+        hi = np.ceil(np.log10(curves.max()))
+        if hi <= lo:
+            hi = lo + 1.0
+        expected = []
+        for i in sorted(range(len(cells)), key=lambda i: cells[i]):
+            expected.append(" ".join(
+                f"{70.0 + 560.0 * (k / max(1, n_k - 1)):.2f},"
+                f"{30.0 + 440.0 * (hi - np.log10(curves[i, k])) / (hi - lo):.2f}"
+                for k in range(n_k)))
+        assert polylines == expected
+
     def test_empty_sweep_rejected(self, tmp_path):
         res = SweepResult(cells=[], mean=np.zeros((0, 2)), std=np.zeros((0, 2)),
                           trials=0, wall_time=0.0)

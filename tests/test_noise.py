@@ -221,6 +221,47 @@ class TestNoiseModel:
             assert np.all(e[..., 1, :] == [0.5, 0.0, 0.0])
             assert np.allclose(np.linalg.norm(e, axis=-1), 0.5, rtol=1e-15)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 9])
+    @pytest.mark.parametrize("iteration", [6, np.arange(3, 40)], ids=["scalar", "chunk"])
+    def test_random_kinds_equal_whole_row_formulas(self, dim, iteration):
+        """Gaussian and fixed_norm blocks equal the broadcast row formulas bit for bit."""
+        normals = polar_normals(lane_states(stream(), np.arange(20), iteration), dim)
+        x = np.zeros((20, dim))
+        gauss = sample_error_block(NoiseModel.gaussian(0.3), x, stream(), iteration)
+        assert np.array_equal(gauss, 0.3 * normals)
+        norms = np.sqrt(np.add.reduce(normals * normals, -1, keepdims=True))
+        fixed = sample_error_block(NoiseModel.fixed_norm(0.2), x, stream(), iteration)
+        assert np.array_equal(fixed, 0.2 * (normals / norms))
+        assert fixed.flags.c_contiguous
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_fixed_norm_zero_row_falls_back_at_any_dim(self, monkeypatch, dim):
+        real = noise.polar_normals
+
+        def zero_rows(states, count):
+            normals = real(states, count)
+            normals[..., ::3, :] = 0.0
+            return normals
+
+        monkeypatch.setattr(noise, "polar_normals", zero_rows)
+        iterations = np.arange(5)
+        normals = zero_rows(lane_states(stream(), np.arange(7), iterations), dim)
+        norms = np.sqrt(np.add.reduce(normals * normals, -1, keepdims=True))
+        positive = norms > 0.0
+        expected = normals / np.where(positive, norms, 1.0)
+        expected[~positive[..., 0]] = np.eye(dim)[0]
+        e = sample_error_block(NoiseModel.fixed_norm(0.5), np.zeros((7, dim)), stream(),
+                               iterations)
+        assert np.array_equal(e, 0.5 * expected)
+        assert np.all(e[:, ::3] == 0.5 * np.eye(dim)[0])
+
+    @pytest.mark.parametrize("dim", range(1, 12))
+    def test_sum_last_axis_is_np_sum(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((50, 30, dim)) * rng.choice([1e-8, 1.0, 1e8], (50, 30, dim))
+        assert np.array_equal(noise.sum_last_axis(a), np.sum(a, axis=-1))
+        assert np.array_equal(noise.sum_last_axis(a[0, 0]), np.sum(a[0, 0]))
+
     def test_quantizer_scalar_iteration_is_a_fresh_row_of_the_block(self):
         q = NoiseModel.quantizer(0.1)
         x = np.linspace(-1.234, 2.345, 21).reshape(7, 3)
