@@ -7,11 +7,11 @@ error bounds) against the measured trajectories.
 """
 
 from .admm import (ANALYSIS_FAITHFUL, BROADCAST, ReferencePoint, Trajectory,
-                   gnorm_series, reference_point, run_decentralized,
-                   run_matrix_form, x_err_series)
+                   reference_point, run_decentralized, run_matrix_form,
+                   x_err_series)
 from .analysis import (ContractionAudit, SteadyStateResult, TheoryReport,
-                       audit_contraction, edc_metric, optimize_delta,
-                       steady_state_check, theory_constants)
+                       audit_contraction, edc_metric, gnorm_series,
+                       optimize_delta, steady_state_check, theory_constants)
 from .config import (ConfigError, ExperimentConfig, default_config,
                      full_config, load_config)
 from .experiment import SweepResult, emit_csv, emit_svg, run_experiment

@@ -53,10 +53,9 @@ stack of the two, whose slices equal the separate sums bit for bit.  A run
 of K iterations therefore takes K + 1 neighbor sums in either mode.
 
 A :class:`Trajectory` holds only engine state (iterates, per-node duals,
-error blocks and the initial arc dual); :meth:`Trajectory.arc_blocks`
-streams the arc variables z and beta from it in blocks of iterations,
-with one gather of x[tail] and x[head] per block, and
-:meth:`Trajectory.arc_states` yields the same rows one at a time.
+error blocks and the initial arc dual).  The arc-space quantities derived
+from it (z, beta, e_z, the G-norm and the error gate) live in
+:mod:`ncadmm.analysis`.
 """
 
 from __future__ import annotations
@@ -102,10 +101,9 @@ class Trajectory:
     Only engine state is stored.  ``e_xs[k]`` is the error block added to
     the messages carrying iterate k; ``alphas`` is the per-node dual the
     engine carried; the arc variables follow from ``xs`` and the initial
-    arc dual ``beta0`` through :meth:`arc_blocks` (or row by row through
-    :meth:`arc_states`).  ``alphas``/``e_xs``/
-    ``beta0`` are None for metric-only runs (record "light"); analysis
-    functions require a full record.
+    arc dual ``beta0`` (see :func:`ncadmm.analysis.gnorm_series`).
+    ``alphas``/``e_xs``/``beta0`` are None for metric-only runs (record
+    "light"); the arc-space analysis requires a full record.
     """
 
     graph: Graph
@@ -121,48 +119,6 @@ class Trajectory:
     @property
     def n_iter(self) -> int:
         return self.xs.shape[0] - 1
-
-    @property
-    def block_rows(self) -> int:
-        """Iterations per block of :meth:`arc_blocks`: about _CHUNK_LANES arcs."""
-        return max(1, _CHUNK_LANES // self.graph.n_arcs)
-
-    def arc_blocks(self):
-        """Yield the arc variables (z, beta) for k = 0..K, in blocks of iterations:
-
-            z^k    = 0.5 * Mplus.T x^k
-            beta^k = beta^{k-1} + (c/2) * Mminus.T x^k,   beta^0 = beta0
-
-        Each block holds :attr:`block_rows` iterations (fewer in the last),
-        as two new (B, 2E, n) arrays that a caller may modify.  Both come
-        from one gather of x[tail] and x[head] per block, and beta
-        accumulates row by row in iteration order, so every row equals the
-        one-step formula bit for bit.  Needs a full record.
-        """
-        self.require_full()
-        am = build_arc_matrices(self.graph)
-        rows = self.block_rows
-        half_c = 0.5 * self.c
-        beta = self.beta0  # beta^{k-1} of the next block's first row
-        for start in range(0, len(self), rows):
-            x_tail, x_head = am.arc_ends(self.xs[start:start + rows])
-            z = x_tail + x_head
-            z *= 0.5
-            betas = np.subtract(x_tail, x_head, out=x_tail)
-            betas *= half_c
-            if start:
-                np.add(beta, betas[0], out=betas[0])
-            else:
-                betas[0] = beta
-            for k in range(1, len(betas)):
-                np.add(betas[k - 1], betas[k], out=betas[k])
-            beta = betas[-1].copy()
-            yield z, betas
-
-    def arc_states(self):
-        """Yield (z^k, beta^k) for k = 0..K: the rows of :meth:`arc_blocks`."""
-        for zs, betas in self.arc_blocks():
-            yield from zip(zs, betas)
 
     def require_full(self) -> None:
         if self.alphas is None or self.e_xs is None or self.beta0 is None:
@@ -189,26 +145,6 @@ def reference_point(g: Graph, obj: ObjectiveSet) -> ReferencePoint:
         raise ValueError(f"stationarity residual {residual:.3e} exceeds tolerance")
     return ReferencePoint(x_star=x_star, z_star=z_star, beta_star=beta_star,
                           x_central=x_central)
-
-
-def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
-    """The squared weighted primal-dual error at every iteration.
-
-    Computed on :meth:`Trajectory.arc_blocks`; each iteration's squares are
-    summed over its flattened (2E * n) arc entries, as for one array.
-    """
-    out = np.empty(len(traj))
-    start = 0
-    for dz, db in traj.arc_blocks():
-        rows = slice(start, start + len(dz))
-        dz -= ref.z_star
-        db -= ref.beta_star
-        dz *= dz
-        db *= db
-        out[rows] = (traj.c * dz.reshape(len(dz), -1).sum(axis=1)
-                     + db.reshape(len(db), -1).sum(axis=1) / traj.c)
-        start = rows.stop
-    return out
 
 
 def x_err_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
@@ -279,11 +215,14 @@ def run_decentralized(
     Starts from x = alpha = 0.  ``record="light"`` keeps only the x history
     (used by the Monte Carlo sweep); "full" additionally stores the per-node
     duals, the injected error blocks and the initial arc dual, from which
-    the trajectory derives its arc variables.
+    :mod:`ncadmm.analysis` derives the arc variables.  Any other ``record``
+    is rejected.
     """
     _check_run_args(g, obj, c, max_iter)
     if mode not in PLACEMENT_MODES:
         raise ValueError(f"unknown placement mode {mode!r}; expected one of {PLACEMENT_MODES}")
+    if record not in ("full", "light"):
+        raise ValueError(f"unknown record {record!r}; expected 'full' or 'light'")
     n_nodes, dim = g.n_nodes, obj.dim
     am = build_arc_matrices(g)
     inv_ops = _solve_operators(g, obj, c)

@@ -1,4 +1,4 @@
-"""Convergence certificates and post-hoc trajectory audits.
+"""Convergence certificates, arc-space analysis and post-hoc trajectory audits.
 
 The certificate machinery evaluates, for a graph spectrum and objective
 moduli, the contraction constants
@@ -19,6 +19,19 @@ m_f - (c/2) sp^2 >= 0 (which also makes the primal bound coefficient
 m_f - (c/2) sp >= 0 (what a nonnegative delta needs).  The steady-state
 coefficient likewise comes in a square-root and a stated variant,
 sqrt(max_degree) resp. max_degree times the error norm.
+
+The arc-space quantities of a full run record are derived here, never
+stored: the arc variables
+
+    z^k    = 0.5 * Mplus.T x^k
+    beta^k = beta^{k-1} + (c/2) * Mminus.T x^k,   beta^0 = traj.beta0
+
+feed the squared G-norm c ||z^k - z*||^2 + ||beta^k - beta*||^2 / c
+(:func:`gnorm_series`), and the arc-space error e_z^k = 0.5 * Mplus.T e_x^k
+(:func:`derive_ez_block`) feeds the gate (:func:`error_gates`).  Both
+series walk the record in blocks of iterations, about
+``admm._CHUNK_LANES`` arc rows each, with one arc-operator call per
+block, so no (K+1, 2E, n) array is built.
 """
 
 from __future__ import annotations
@@ -28,8 +41,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .admm import ReferencePoint, Trajectory, gnorm_series, x_err_series
-from .noise import derive_ez_block, sum_last_axis
+from .admm import _CHUNK_LANES, ReferencePoint, Trajectory, x_err_series
+from .noise import sum_last_axis
 from .topology import Graph, SpectralSummary, build_arc_matrices
 
 _RATIO_FLOOR = 1e-14
@@ -176,23 +189,73 @@ class ContractionAudit:
         return len(self.contraction_violations) + len(self.x_bound_violations)
 
 
+def _blocks(traj: Trajectory, n_rows: int):
+    """Slices covering rows 0..n_rows-1, about ``_CHUNK_LANES`` arcs' worth each."""
+    rows = max(1, _CHUNK_LANES // traj.graph.n_arcs)
+    return (slice(start, min(start + rows, n_rows)) for start in range(0, n_rows, rows))
+
+
+def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
+    """The squared weighted primal-dual error at every iteration k = 0..K.
+
+    Each block of :func:`_blocks` takes one gather of x[tail] and x[head],
+    which gives z and the beta increments; beta accumulates row by row in
+    iteration order, so every row equals the one-step formula bit for bit.
+    Each iteration's squares are summed over its flattened (2E * n) arc
+    entries, as for one array.  Needs a full record.
+    """
+    traj.require_full()
+    am = build_arc_matrices(traj.graph)
+    half_c = 0.5 * traj.c
+    out = np.empty(len(traj))
+    beta = traj.beta0  # beta^{k-1} of the next block's first row
+    for rows in _blocks(traj, len(traj)):
+        x_tail, x_head = am.arc_ends(traj.xs[rows])
+        dz = x_tail + x_head
+        dz *= 0.5
+        db = np.subtract(x_tail, x_head, out=x_tail)
+        db *= half_c
+        if rows.start:
+            np.add(beta, db[0], out=db[0])
+        else:
+            db[0] = beta
+        for k in range(1, len(db)):
+            np.add(db[k - 1], db[k], out=db[k])
+        beta = db[-1].copy()
+        dz -= ref.z_star
+        db -= ref.beta_star
+        dz *= dz
+        db *= db
+        out[rows] = (traj.c * dz.reshape(len(dz), -1).sum(axis=1)
+                     + db.reshape(len(db), -1).sum(axis=1) / traj.c)
+    return out
+
+
+def derive_ez_block(e_x_nodes: np.ndarray, am) -> np.ndarray:
+    """Arc-space error e_z = 0.5 * m_plus.T @ e_x for (..., N, n) blocks: (..., 2E, n)."""
+    e_x = np.asarray(e_x_nodes, dtype=float)
+    if e_x.ndim < 2 or e_x.shape[-2] != am.n_nodes:
+        raise ValueError(f"error block of shape {e_x.shape} needs N={am.n_nodes} node rows")
+    e_z = am.apply_mplus_t(e_x)
+    e_z *= 0.5
+    return e_z
+
+
 def error_gates(traj: Trajectory, xerr: np.ndarray) -> np.ndarray:
     """The error gate ||e_z^k|| <= ||x^{k+1} - x*|| at every step k, shape (K,).
 
     ``xerr`` is :func:`x_err_series` of the same run.  e_z^k is the exact
     arc-space error derived from the recorded noise realization, one block
-    of :attr:`Trajectory.block_rows` steps at a time, so the trajectory
-    needs a full record.
+    of :func:`_blocks` at a time, so the trajectory needs a full record.
     """
     traj.require_full()
     am = build_arc_matrices(traj.graph)
     gates = np.empty(traj.n_iter, dtype=bool)
-    rows = traj.block_rows
-    for start in range(0, traj.n_iter, rows):
-        e_z = derive_ez_block(traj.e_xs[start:start + rows], am)
+    for rows in _blocks(traj, traj.n_iter):
+        e_z = derive_ez_block(traj.e_xs[rows], am)
         e_z *= e_z
         norms = np.sqrt(e_z.reshape(len(e_z), -1).sum(axis=1))
-        gates[start:start + rows] = norms <= xerr[start + 1:start + rows + 1]
+        gates[rows] = norms <= xerr[rows.start + 1:rows.stop + 1]
     return gates
 
 
@@ -211,7 +274,6 @@ def audit_contraction(traj: Trajectory, ref: ReferencePoint, report: TheoryRepor
     xerr = x_err_series(traj, ref)
     gates = error_gates(traj, xerr)
 
-    n_steps = traj.n_iter
     skipped = (gnorm[:-1] < _RATIO_FLOOR) & (gnorm[1:] < _RATIO_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(skipped, np.nan, gnorm[1:] / gnorm[:-1])
@@ -220,18 +282,13 @@ def audit_contraction(traj: Trajectory, ref: ReferencePoint, report: TheoryRepor
     checked = gates & conditions
     bound = report.contraction_factor
 
-    contraction_violations = [
-        int(k) for k in range(n_steps)
-        if checked[k] and not skipped[k] and ratios[k] > bound + _AUDIT_TOL
-    ]
+    contraction_violations = np.flatnonzero(
+        checked & ~skipped & (ratios > bound + _AUDIT_TOL)).tolist()
     # an infinite primal-bound coefficient (squared condition violated)
     # yields inf/nan slack entries; they are never checked
     with np.errstate(invalid="ignore", over="ignore"):
         x_bound_slack = report.x_bound_coeff * gnorm[:-1] - xerr[1:] ** 2
-    x_bound_violations = [
-        int(k) for k in range(n_steps)
-        if checked[k] and x_bound_slack[k] < -_AUDIT_TOL
-    ]
+    x_bound_violations = np.flatnonzero(checked & (x_bound_slack < -_AUDIT_TOL)).tolist()
     return ContractionAudit(
         ratios=ratios,
         gates=gates,

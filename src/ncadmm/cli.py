@@ -25,15 +25,15 @@ from .admm import reference_point, run_decentralized
 from .analysis import (audit_contraction, edc_metric, error_gates,
                        gnorm_series, optimize_delta, theory_constants,
                        x_err_series)
+# not called here; ncbench/tracing.py wraps cli.derive_ez_block by name
+from .analysis import derive_ez_block  # noqa: F401
 from .config import (ConfigError, ExperimentConfig, default_config,
                      full_config, load_config)
 from .experiment import (emit_csv, emit_svg, format_sci_column,
                          preflight_reports, require_finite, run_experiment,
                          trial_instance)
 from .noise import RandomStream
-# not called here; ncbench/tracing.py wraps cli.derive_ez_block and
-# cli.make_problem by name
-from .noise import derive_ez_block  # noqa: F401
+# not called here; ncbench/tracing.py wraps cli.make_problem by name
 from .objective import make_problem  # noqa: F401
 from .topology import (GraphConnectivityError, build_arc_matrices,
                        gen_connected_graph, spectral_summary, write_edge_list)
@@ -104,9 +104,9 @@ def _load_with_overrides(args) -> ExperimentConfig:
         cfg = replace(cfg, admm=replace(cfg.admm, max_iter=args.max_iter))
     if args.model is not None:
         cfg = replace(cfg, noise=replace(cfg.noise, model=args.model))
-    if getattr(args, "csv", None):
+    if getattr(args, "csv", None) is not None:
         cfg = replace(cfg, output=replace(cfg.output, csv_path=args.csv))
-    if getattr(args, "svg", None):
+    if getattr(args, "svg", None) is not None:
         cfg = replace(cfg, output=replace(cfg.output, svg_path=args.svg))
     cfg.validate()
     return cfg
@@ -202,8 +202,8 @@ def _cmd_audit(args) -> int:
     require_finite(np.where(audit.skipped, 0.0, audit.ratios),
                    f"gnorm_ratio at c={c:g} sigma_e={sigma_e:g}")
     lines = ["k,gnorm_ratio,gate_satisfied,skipped,checked,x_bound_slack,violation"]
-    contraction = set(audit.contraction_violations)
-    x_bound = set(audit.x_bound_violations)
+    violation = np.zeros(traj.n_iter, dtype=bool)
+    violation[audit.contraction_violations + audit.x_bound_violations] = True
     ratios = format_sci_column(np.where(audit.skipped, 0.0, audit.ratios))
     has_slack = np.isfinite(audit.x_bound_slack)
     slacks = format_sci_column(np.where(has_slack, audit.x_bound_slack, 0.0))
@@ -212,7 +212,7 @@ def _cmd_audit(args) -> int:
         slack_str = slacks[k] if has_slack[k] else ""
         lines.append(f"{k},{ratio},{int(audit.gates[k])},{int(audit.skipped[k])},"
                      f"{int(audit.checked[k])},{slack_str},"
-                     f"{int(k in contraction or k in x_bound)}")
+                     f"{int(violation[k])}")
     _write_lines(lines, args.out)
     print(f"delta_star={delta_star:.12g} at mu={mu_star:.6g}; "
           f"bound={audit.bound:.12g}; "

@@ -151,24 +151,17 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, quiet: bool = False) ->
     )
 
 
-def format_sci(x: float) -> str:
-    """Locale-independent scientific notation, 17 significant digits.
-
-    Zero (either sign) is the canonical ``0e0``; exponents carry no sign
-    padding or leading zeros.
-    """
-    return format_sci_column([x])[0]
-
-
 def format_sci_column(values) -> list[str]:
-    """:func:`format_sci` of every entry of ``values``, in C order.
+    """Each entry of ``values``, in C order, as a 17-digit scientific string.
 
+    The notation is locale-independent; zero (either sign) is the
+    canonical ``0e0``; exponents carry no sign padding or leading zeros.
     The whole array is formatted by one ``%`` operation.  "%.16e" writes
     the exponent with a sign and at least two digits (e+05, e-12, e+308),
     and only a two-digit exponent can start with a zero, so dropping "+"
-    and one leading zero gives the exponents of :func:`format_sci`.  A
-    non-finite entry raises the ``ValueError`` that formatting the entries
-    one by one would raise first.
+    and one leading zero gives those exponents.  A non-finite entry raises
+    the ``ValueError`` that formatting the entries one by one would raise
+    first.
     """
     flat = np.asarray(values, dtype=float).reshape(-1)
     finite = np.isfinite(flat)
@@ -215,10 +208,10 @@ def emit_svg(result: SweepResult, path) -> None:
     if hi <= lo:
         hi = lo + 1.0
 
-    def x_px(k: float) -> float:
+    def x_px(k):
         return left + plot_w * (k / max(1, n_k - 1))
 
-    def y_px(v: float) -> float:
+    def y_px(v):
         return top + plot_h * (hi - np.log10(v)) / (hi - lo)
 
     parts = [
@@ -252,9 +245,8 @@ def emit_svg(result: SweepResult, path) -> None:
                  f'font-family="monospace" font-size="13" '
                  f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">mean E_DC</text>')
 
-    # the polylines' pixels, rounded as x_px and y_px round each point
-    xs = (left + plot_w * (np.arange(n_k) / max(1, n_k - 1))).tolist()
-    ys = top + plot_h * (hi - np.log10(curves)) / (hi - lo)
+    xs = x_px(np.arange(n_k)).tolist()
+    ys = y_px(curves)
     order = sorted(range(len(result.cells)), key=lambda i: result.cells[i])
     for slot, i in enumerate(order):
         c, sigma_e = result.cells[i]

@@ -32,6 +32,9 @@ state.  Because every lane is a pure function of its key, a draw over many
 iterations at once (an iteration array in :func:`lane_states` and
 :func:`sample_error_block`) holds exactly the values of the per-iteration
 draws; the engines use that to draw state-independent error in chunks.
+
+The models act on node messages only; their arc-space image e_z is
+derived in :mod:`ncadmm.analysis`.
 """
 
 from __future__ import annotations
@@ -284,8 +287,8 @@ def sample_error_block(
     directions = np.empty(normals.shape)
     for j in range(dim):
         np.divide(normals[..., j], norms, out=directions[..., j])
-    # an all-zero draw has probability zero; fall back to a fixed direction
-    directions[~positive] = _unit_first_axis(dim)
+    # an all-zero draw has probability zero; fall back to the first axis
+    directions[~positive] = np.eye(dim)[0]
     directions *= model.sigma_e
     return directions
 
@@ -304,19 +307,3 @@ def sum_last_axis(a: np.ndarray) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         out += a[..., j]
     return out
-
-
-def _unit_first_axis(dim: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[0] = 1.0
-    return e
-
-
-def derive_ez_block(e_x_nodes: np.ndarray, am) -> np.ndarray:
-    """Arc-space error e_z = 0.5 * m_plus.T @ e_x for (..., N, n) blocks: (..., 2E, n)."""
-    e_x = np.asarray(e_x_nodes, dtype=float)
-    if e_x.ndim < 2 or e_x.shape[-2] != am.n_nodes:
-        raise ValueError(f"error block of shape {e_x.shape} needs N={am.n_nodes} node rows")
-    e_z = am.apply_mplus_t(e_x)
-    e_z *= 0.5
-    return e_z

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ncadmm import admm
+from ncadmm import admm, analysis
 from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, ReferencePoint, Trajectory,
-                         gnorm_series, reference_point, run_decentralized,
-                         run_matrix_form, x_err_series)
-from ncadmm.analysis import edc_metric, error_gates
+                         reference_point, run_decentralized, run_matrix_form,
+                         x_err_series)
+from ncadmm.analysis import edc_metric, error_gates, gnorm_series
 from ncadmm.noise import NoiseModel, RandomStream, sample_error_block
 from ncadmm.objective import ObjectiveSet, make_problem
 from ncadmm.topology import (ArcMatrices, Graph, build_arc_matrices,
@@ -18,9 +18,19 @@ def small_setup(seed=0, n_nodes=8, rho=0.4, design="well_conditioned"):
     return g, obj
 
 
+def per_step_arc_states(traj):
+    """(z^k, beta^k) one iteration at a time, gathered by fancy indexing."""
+    am = build_arc_matrices(traj.graph)
+    beta = traj.beta0
+    for k, x in enumerate(traj.xs):
+        if k:
+            beta = beta + (0.5 * traj.c) * (x[am.tail] - x[am.head])
+        yield 0.5 * (x[am.tail] + x[am.head]), beta
+
+
 def arc_history(traj):
-    """The streamed arc states stacked: (zs, betas), each (K+1, 2E, n)."""
-    zs, betas = zip(*traj.arc_states())
+    """The per-step arc states stacked: (zs, betas), each (K+1, 2E, n)."""
+    zs, betas = zip(*per_step_arc_states(traj))
     return np.stack(zs), np.stack(betas)
 
 
@@ -307,16 +317,6 @@ class TestChunkedDraws:
         assert not error_gates(traj, np.nextafter(at, -np.inf)).any()
 
 
-def per_step_arc_states(traj):
-    """(z^k, beta^k) one iteration at a time, gathered by fancy indexing."""
-    am = build_arc_matrices(traj.graph)
-    beta = traj.beta0
-    for k, x in enumerate(traj.xs):
-        if k:
-            beta = beta + (0.5 * traj.c) * (x[am.tail] - x[am.head])
-        yield 0.5 * (x[am.tail] + x[am.head]), beta
-
-
 def per_step_gnorm(traj, ref):
     """The per-iteration gnorm loop that the blocked series replaced."""
     out = np.empty(len(traj))
@@ -338,7 +338,7 @@ def per_step_ez_norms(traj):
 
 
 class TestBlockedSeries:
-    """gnorm, the gates and the arc states equal the per-step loops across block edges.
+    """analysis.gnorm_series and error_gates equal the per-step loops across block edges.
 
     At N=20, rho=0.3 (114 arcs) a block is 71 iterations, so K=150 gives
     two whole blocks and a remainder; the complete graph on N=100 has
@@ -360,10 +360,12 @@ class TestBlockedSeries:
         g, obj, _, max_iter = shape
         traj = run_decentralized(g, obj, 0.3, NoiseModel.none(), ANALYSIS_FAITHFUL,
                                  max_iter, RandomStream(seed=1))
-        rows = [len(z) for z, _ in traj.arc_blocks()]
+        rows = [s.stop - s.start for s in analysis._blocks(traj, len(traj))]
+        steps = [s.stop - s.start for s in analysis._blocks(traj, traj.n_iter)]
         expected = {20: [71, 71, 9], 100: [1] * 6}[g.n_nodes]
-        assert traj.block_rows == expected[0] == max(1, admm._CHUNK_LANES // g.n_arcs)
+        assert expected[0] == max(1, admm._CHUNK_LANES // g.n_arcs)
         assert rows == expected
+        assert steps == {20: [71, 71, 8], 100: [1] * 5}[g.n_nodes]
 
     @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
@@ -372,23 +374,11 @@ class TestBlockedSeries:
         traj = run_decentralized(g, obj, 0.3, model, mode, max_iter,
                                  RandomStream(seed=18, trial=1, cell=2))
         assert np.array_equal(gnorm_series(traj, ref), per_step_gnorm(traj, ref))
-        for (z, beta), (z_ref, beta_ref) in zip(traj.arc_states(), per_step_arc_states(traj),
-                                                strict=True):
-            assert np.array_equal(z, z_ref)
-            assert np.array_equal(beta, beta_ref)
         # thresholds at the per-step norm and one ulp below it pin each
         # blocked norm to that value exactly
         at = np.concatenate([[0.0], per_step_ez_norms(traj)])
         assert error_gates(traj, at).all()
         assert not error_gates(traj, np.nextafter(at, -np.inf)).any()
-
-    def test_arc_states_can_be_kept(self, shape):
-        g, obj, _, max_iter = shape
-        traj = run_decentralized(g, obj, 0.3, NoiseModel.gaussian(1e-2), BROADCAST,
-                                 max_iter, RandomStream(seed=19))
-        zs, betas = arc_history(traj)
-        assert np.array_equal(zs, np.stack([z for z, _ in per_step_arc_states(traj)]))
-        assert np.array_equal(betas, np.stack([b for _, b in per_step_arc_states(traj)]))
 
     def test_gnorm_gathers_once_per_block(self, shape, monkeypatch):
         g, obj, ref, max_iter = shape
@@ -403,7 +393,7 @@ class TestBlockedSeries:
 
         monkeypatch.setattr(ArcMatrices, "arc_ends", counting)
         gnorm_series(traj, ref)
-        rows = traj.block_rows
+        rows = max(1, admm._CHUNK_LANES // g.n_arcs)
         assert gathered == [min(rows, len(traj) - start) for start in range(0, len(traj), rows)]
 
 
@@ -504,6 +494,9 @@ class TestValidationAndRecording:
         with pytest.raises(ValueError, match="placement mode"):
             run_decentralized(g, obj, 1.0, NoiseModel.none(), "exact",
                               10, RandomStream(seed=1))
+        with pytest.raises(ValueError, match="unknown record 'Full'"):
+            run_decentralized(g, obj, 1.0, NoiseModel.none(), ANALYSIS_FAITHFUL,
+                              10, RandomStream(seed=1), record="Full")
 
     def test_mismatched_objective_rejected(self):
         g, _ = small_setup(17)
@@ -517,9 +510,9 @@ class TestValidationAndRecording:
         traj = run_decentralized(g, obj, 0.5, NoiseModel.none(), ANALYSIS_FAITHFUL,
                                  10, RandomStream(seed=12), record="light")
         with pytest.raises(ValueError, match="full"):
-            next(traj.arc_states())
-        with pytest.raises(ValueError, match="full"):
             gnorm_series(traj, reference_point(g, obj))
+        with pytest.raises(ValueError, match="full"):
+            error_gates(traj, np.zeros(len(traj)))
 
     def test_light_and_full_share_x_path(self):
         g, obj = small_setup(19)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncadmm.admm import (ANALYSIS_FAITHFUL, Trajectory, gnorm_series, reference_point,
+from ncadmm.admm import (ANALYSIS_FAITHFUL, Trajectory, reference_point,
                          run_decentralized, run_matrix_form, x_err_series)
 from ncadmm.analysis import (audit_contraction, edc_metric, error_gates,
-                             mu_grid, optimize_delta, steady_state_check,
-                             theory_constants)
+                             gnorm_series, mu_grid, optimize_delta,
+                             steady_state_check, theory_constants)
 from ncadmm.noise import NoiseModel, RandomStream
 from ncadmm.objective import make_problem
 from ncadmm.topology import (Graph, build_arc_matrices, gen_connected_graph,

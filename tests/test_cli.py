@@ -287,6 +287,20 @@ class TestExperiment:
         assert rc == 0
         assert alt.exists()
 
+    def test_empty_csv_flag_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg, jobs=1: pytest.fail("swept"))
+        rc = main(["experiment", "--max-iter", "3", "--trials", "1", "--csv", ""])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: output.csv_path must be set\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_svg_flag_writes_no_svg(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config(tmp_path)
+        assert main(["experiment", "--config", str(cfg), "--svg", ""]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sweep.csv"]
+
 
 # 10**13 iterations ask for at least 437 TiB (the six desk cells' E^DC
 # curves; a run's iterate history is larger still), past the 128 TiB user

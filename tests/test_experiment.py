@@ -6,8 +6,7 @@ import pytest
 from ncadmm.cli import main
 from ncadmm.config import (AdmmConfig, ExperimentConfig, GraphConfig,
                            NoiseConfig, OutputConfig, ProblemConfig)
-from ncadmm.experiment import (SweepResult, emit_csv, emit_svg, format_sci,
-                               format_sci_column,
+from ncadmm.experiment import (SweepResult, emit_csv, emit_svg, format_sci_column,
                                preflight_reports, run_experiment, run_trial)
 
 
@@ -28,23 +27,21 @@ def tiny_config(**kw):
 
 class TestFormatSci:
     def test_canonical_zero(self):
-        assert format_sci(0.0) == "0e0"
-        assert format_sci(-0.0) == "0e0"
+        assert format_sci_column([0.0, -0.0]) == ["0e0", "0e0"]
 
     def test_seventeen_significant_digits(self):
-        assert format_sci(1.0) == "1.0000000000000000e0"
-        assert format_sci(-0.1) == "-1.0000000000000001e-1"
-        assert format_sci(12345.678) == "1.2345678000000000e4"
+        assert format_sci_column([1.0, -0.1, 12345.678]) == [
+            "1.0000000000000000e0", "-1.0000000000000001e-1", "1.2345678000000000e4"]
 
     def test_round_trips_through_float(self):
-        for x in (3.14159, 1e-300, -2.5e17, 7.0):
-            assert float(format_sci(x)) == x
+        values = [3.14159, 1e-300, -2.5e17, 7.0]
+        assert [float(text) for text in format_sci_column(values)] == values
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            format_sci(float("nan"))
+            format_sci_column([float("nan")])
         with pytest.raises(ValueError):
-            format_sci(float("inf"))
+            format_sci_column([float("inf")])
 
     @staticmethod
     def format_one(x):

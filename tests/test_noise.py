@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncadmm import noise
-from ncadmm.noise import (NoiseModel, RandomStream, derive_ez_block,
-                          fold_key, fold_lanes, keyed_normals, keyed_uniforms,
-                          lane_states, polar_normals, sample_error_block,
-                          uniforms)
+from ncadmm.analysis import derive_ez_block
+from ncadmm.noise import (NoiseModel, RandomStream, fold_key, fold_lanes,
+                          keyed_normals, keyed_uniforms, lane_states,
+                          polar_normals, sample_error_block, uniforms)
 from ncadmm.noise import _NOISE_DOMAIN
 from ncadmm.topology import Graph, build_arc_matrices, gen_connected_graph
 
@@ -312,6 +312,8 @@ class TestDeterminism:
 
 
 class TestDeriveEz:
+    """The arc-space image of an error block, e_z = 0.5 * Mplus.T e_x (in ``analysis``)."""
+
     def test_zero_maps_to_zero(self):
         am = build_arc_matrices(Graph.from_edges(2, [(0, 1)]))
         assert np.array_equal(derive_ez_block(np.zeros((2, 1)), am), np.zeros((2, 1)))
