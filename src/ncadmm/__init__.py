@@ -19,7 +19,7 @@ from .noise import NoiseModel, RandomStream
 from .objective import ObjectiveSet, make_problem
 from .topology import (ArcMatrices, Graph, GraphConnectivityError,
                        SpectralSummary, build_arc_matrices,
-                       check_laplacian_bound, gen_connected_graph,
-                       read_edge_list, spectral_summary, write_edge_list)
+                       gen_connected_graph, read_edge_list, spectral_summary,
+                       write_edge_list)
 
 __version__ = "0.1.0"

@@ -18,10 +18,11 @@ import json
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from .admm import reference_point, run_decentralized
+from .admm import BROADCAST, reference_point, run_decentralized
 from .analysis import (audit_contraction, edc_metric, error_gates,
                        gnorm_series, optimize_delta, theory_constants,
                        x_err_series)
@@ -124,6 +125,19 @@ def _parse_cell(cfg: ExperimentConfig, text: str) -> int:
     return cells.index(cell)
 
 
+def _check_out_paths(*paths) -> None:
+    """Fail before any compute on an output path whose file cannot be created."""
+    for target in (Path(path) for path in paths if path is not None):
+        if target.is_dir() or not target.parent.is_dir():
+            raise ConfigError(f"output path '{target}' must name a file in an existing directory")
+
+
+def _note_placement(cfg: ExperimentConfig) -> None:
+    if cfg.noise.placement_mode == BROADCAST:
+        print("note: the certificate does not cover placement_mode=broadcast, "
+              "where the message error also enters the dual update", file=sys.stderr)
+
+
 def _cell_trajectory(cfg: ExperimentConfig, cell_idx: int):
     """Trial 0 of one sweep cell, full record, plus its reference point."""
     g, obj = trial_instance(cfg, 0)
@@ -146,6 +160,7 @@ def _write_lines(lines, out_path) -> None:
 
 
 def _cmd_gen_graph(args) -> int:
+    _check_out_paths(args.out)
     g = gen_connected_graph(args.nodes, args.rho, args.seed)
     write_edge_list(g, args.out)
     print(f"wrote {args.out}: {g.n_nodes} nodes, {g.n_edges} edges")
@@ -163,12 +178,14 @@ def _cmd_theory(args) -> int:
                 "(try design_kind=well_conditioned)")
         docs.append(report.to_json_dict())
     print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
+    _note_placement(cfg)
     return 0
 
 
 def _cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
     cell_idx = _parse_cell(cfg, args.cell)
+    _check_out_paths(args.out)
     g, obj, traj, ref, c, sigma_e = _cell_trajectory(cfg, cell_idx)
     # overflow (a huge sigma_e, say) is reported once, by require_finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,12 +200,14 @@ def _cmd_run(args) -> int:
     columns = zip(*map(format_sci_column, (gnorm, xerr, edc)), gate_strs)
     lines += [f"{k},{g_s},{x_s},{e_s},{gate}" for k, (g_s, x_s, e_s, gate) in enumerate(columns)]
     _write_lines(lines, args.out)
+    _note_placement(cfg)
     return 0
 
 
 def _cmd_audit(args) -> int:
     cfg = _load_with_overrides(args)
     cell_idx = _parse_cell(cfg, args.cell)
+    _check_out_paths(args.out)
     g, obj, traj, ref, c, sigma_e = _cell_trajectory(cfg, cell_idx)
     if obj.m_f <= 0.0:
         raise ConfigError("instance has m_f = 0; no certificate to audit "
@@ -218,6 +237,7 @@ def _cmd_audit(args) -> int:
           f"bound={audit.bound:.12g}; "
           f"violations: contraction={len(audit.contraction_violations)} "
           f"x_bound={len(audit.x_bound_violations)}", file=sys.stderr)
+    _note_placement(cfg)
     return 0
 
 
@@ -227,6 +247,7 @@ def _cmd_experiment(args) -> int:
         source = "NCADMM_JOBS" if args.jobs is None else "--jobs"
         raise ConfigError(f"{source} must be at least 1, got {jobs}")
     cfg = _load_with_overrides(args)
+    _check_out_paths(cfg.output.csv_path, cfg.output.svg_path or None)
     result = run_experiment(cfg, jobs=jobs)
     emit_csv(result, cfg.output.csv_path)
     print(f"wrote {cfg.output.csv_path} "

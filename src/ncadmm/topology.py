@@ -1,10 +1,10 @@
 """Communication graphs and their arc-incidence algebra.
 
-A network of N nodes with E undirected edges is represented by :class:`Graph`.
-Every edge contributes two directed arcs, so the arc set has size 2E.  The
-arc matrices ``m_plus`` / ``m_minus`` (one column per arc q = (i, j): +1 at
-row i, +1 / -1 at row j) tie the per-node iterates to the per-arc consensus
-variables:
+A network of N nodes with E undirected edges is represented by :class:`Graph`,
+which holds the edges as one read-only (E, 2) index array.  Every edge
+contributes two directed arcs, so the arc set has size 2E.  The arc matrices
+``m_plus`` / ``m_minus`` (one column per arc q = (i, j): +1 at row i, +1 / -1
+at row j) tie the per-node iterates to the per-arc consensus variables:
 
     0.5 * m_plus @ m_plus.T  == D + W   (signless Laplacian)
     0.5 * m_minus @ m_minus.T == D - W  (standard Laplacian)
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,38 +41,57 @@ class GraphConnectivityError(RuntimeError):
     """Raised when rejection sampling fails to produce a connected graph."""
 
 
-@dataclass(frozen=True)
+def _index_pairs(edges) -> np.ndarray:
+    """A fresh (E, 2) intp copy of integer node pairs; the caller's array stays writeable."""
+    pairs = np.array(edges)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must have shape (E, 2), got {pairs.shape}")
+    if pairs.dtype.kind not in "iu":
+        raise ValueError(f"edges must be integers, got dtype {pairs.dtype}")
+    return pairs.astype(np.intp, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected, connected, simple graph on nodes 0..n_nodes-1.
 
-    ``edges`` must be canonical: each pair (i, j) with i < j, sorted
-    lexicographically, no duplicates.  Use :meth:`from_edges` to normalize
-    arbitrary edge lists.
+    ``edges`` is held as a read-only (E, 2) intp array, copied from the
+    integer input, and must be canonical: each row (i, j) with i < j, rows
+    sorted lexicographically, no duplicates.  Use :meth:`from_edges` to
+    normalize arbitrary edge lists.
     """
 
     n_nodes: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray  # (E, 2)
 
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
-        prev = None
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n_nodes):
+        edges = _index_pairs(self.edges)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        # report the first row out of range or not above the previous row;
+        # on in-range rows, i * N + j orders as (i, j) does
+        i, j = edges.T
+        out_of_range = (i < 0) | (i >= j) | (j >= self.n_nodes)
+        key = i * self.n_nodes + j
+        bad = out_of_range | np.r_[False, key[1:] <= key[:-1]]
+        if bad.any():
+            first = int(bad.argmax())
+            if out_of_range[first]:
+                i, j = edges[first].tolist()
                 raise ValueError(f"edge ({i}, {j}) is not canonical (need 0 <= i < j < N)")
-            if prev is not None and (i, j) <= prev:
-                raise ValueError("edges must be sorted and unique")
-            prev = (i, j)
-        if not _is_connected(self.n_nodes, self._edge_array):
+            raise ValueError("edges must be sorted and unique")
+        if not _is_connected(self.n_nodes, edges):
             raise ValueError("graph is not connected")
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges) -> "Graph":
-        canon = sorted({(min(i, j), max(i, j)) for i, j in edges})
-        for i, j in canon:
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-        return cls(n_nodes=n_nodes, edges=tuple(canon))
+        canon = np.unique(np.sort(_index_pairs(edges), axis=1), axis=0)
+        loops = canon[:, 0] == canon[:, 1]
+        if loops.any():
+            raise ValueError(f"self-loop at node {canon[loops.argmax(), 0]}")
+        return cls(n_nodes=n_nodes, edges=canon)
 
     @property
     def n_edges(self) -> int:
@@ -86,14 +104,6 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         return build_arc_matrices(self).degrees
-
-    @cached_property
-    def _edge_array(self) -> np.ndarray:
-        """``edges`` as a read-only (E, 2) index array, converted once."""
-        edges = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
-                            count=2 * len(self.edges)).reshape(-1, 2)
-        edges.flags.writeable = False
-        return edges
 
     @property
     def max_degree(self) -> int:
@@ -223,14 +233,11 @@ class SpectralSummary:
     """Singular values of the arc matrices plus degree data.
 
     Values refer to the base matrices; the n-dimensional lift shares them.
-    ``l_max`` is the largest signless-Laplacian eigenvalue and satisfies
-    ``l_max == 0.5 * sigma_max_mplus**2``.
     """
 
     sigma_max_mplus: float
     sigma_max_mminus: float
     sigma_min_nz_mminus: float
-    l_max: float
     max_degree: int
 
 
@@ -269,7 +276,7 @@ def gen_connected_graph(n_nodes: int, rho: float, seed: int) -> Graph:
             moved[r] = moved.get(t, t)
         pairs = np.sort(chosen)
         i = np.searchsorted(row_start, pairs, side="right") - 1
-        edges = tuple(zip(i.tolist(), (pairs - row_start[i] + i + 1).tolist()))
+        edges = np.stack([i, pairs - row_start[i] + i + 1], axis=1)
         try:
             return Graph(n_nodes=n_nodes, edges=edges)
         except ValueError:  # the edges are canonical, so the sample is disconnected
@@ -307,11 +314,10 @@ def build_arc_matrices(g: Graph) -> ArcMatrices:
 
     The order is the graph's sorted edge order, each edge (i, j) giving arc
     (i, j) and then arc (j, i); arc 2q therefore runs from the smaller end
-    of edge q.
+    of edge q, and ``tail`` is a view of ``g.edges``.
     """
-    edges = g._edge_array
-    return ArcMatrices(n_nodes=g.n_nodes, tail=edges.reshape(-1),
-                       head=edges[:, ::-1].reshape(-1))
+    return ArcMatrices(n_nodes=g.n_nodes, tail=g.edges.reshape(-1),
+                       head=g.edges[:, ::-1].reshape(-1))
 
 
 def spectral_summary(am: ArcMatrices) -> SpectralSummary:
@@ -325,10 +331,9 @@ def spectral_summary(am: ArcMatrices) -> SpectralSummary:
     """
     q_eig = np.linalg.eigvalsh(am.signless_laplacian)
     l_eig = np.linalg.eigvalsh(am.laplacian)
-    l_max = float(q_eig[-1])
     noise_floor = am.n_nodes * np.finfo(float).eps * max(float(l_eig[-1]), 1.0)
     l_eig = np.where(l_eig > noise_floor, l_eig, 0.0)
-    sigma_max_mplus = float(np.sqrt(2.0 * max(l_max, 0.0)))
+    sigma_max_mplus = float(np.sqrt(2.0 * max(float(q_eig[-1]), 0.0)))
     sigma_max_mminus = float(np.sqrt(2.0 * max(float(l_eig[-1]), 0.0)))
     sigmas_minus = np.sqrt(2.0 * np.clip(l_eig, 0.0, None))
     nz = sigmas_minus[sigmas_minus > 1e-9 * sigma_max_mminus]
@@ -338,24 +343,14 @@ def spectral_summary(am: ArcMatrices) -> SpectralSummary:
         sigma_max_mplus=sigma_max_mplus,
         sigma_max_mminus=sigma_max_mminus,
         sigma_min_nz_mminus=float(nz.min()),
-        l_max=l_max,
         max_degree=int(am.degrees.max()),
     )
-
-
-def check_laplacian_bound(s: SpectralSummary) -> bool:
-    """Largest signless-Laplacian eigenvalue vs. twice the max degree.
-
-    The bound holds for every graph; the tiny slack only absorbs eigensolver
-    roundoff in tight cases (complete graphs hit equality).
-    """
-    return s.l_max <= 2.0 * s.max_degree + 1e-9 * max(1.0, s.l_max)
 
 
 def write_edge_list(g: Graph, path) -> None:
     """Write the `N E` header plus one 0-based `i j` line per edge."""
     lines = [f"{g.n_nodes} {g.n_edges}"]
-    lines += [f"{i} {j}" for i, j in g.edges]
+    lines += [f"{i} {j}" for i, j in g.edges.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -367,5 +362,8 @@ def read_edge_list(path) -> Graph:
     nums = text[2:]
     if len(nums) != 2 * n_edges:
         raise ValueError(f"{path}: expected {2 * n_edges} node indices, got {len(nums)}")
-    edges = [(int(nums[2 * k]), int(nums[2 * k + 1])) for k in range(n_edges)]
+    try:
+        edges = np.array(nums, dtype=np.intp).reshape(n_edges, 2)
+    except OverflowError:
+        raise ValueError(f"{path}: node index out of range") from None
     return Graph.from_edges(n_nodes, edges)

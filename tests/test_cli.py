@@ -302,6 +302,55 @@ class TestExperiment:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sweep.csv"]
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["experiment", "--csv", "{tmp}/missing/e.csv"], "{tmp}/missing/e.csv"),
+    (["experiment", "--csv", "{tmp}/e.csv", "--svg", "{tmp}/missing/e.svg"],
+     "{tmp}/missing/e.svg"),
+    (["experiment", "--csv", "{tmp}"], "{tmp}"),
+    (["run", "--cell", "0.2,0.001", "--out", "{tmp}/missing/r.csv"], "{tmp}/missing/r.csv"),
+    (["audit", "--cell", "0.2,0.001", "--out", "{tmp}"], "{tmp}"),
+    (["gen-graph", "--nodes", "5", "--rho", "1", "--seed", "1",
+      "--out", "{tmp}/missing/g.edges"], "{tmp}/missing/g.edges"),
+], ids=["experiment-csv", "experiment-svg", "experiment-dir", "run", "audit", "gen-graph"])
+def test_unwritable_output_path_fails_before_any_compute(tmp_path, monkeypatch, capsys, argv, bad):
+    # the parent must be a directory and the path must not be one
+    cfg = small_config(tmp_path)
+    def computed(*args, **kwargs):
+        pytest.fail("computed")
+
+    for name in ("run_experiment", "_cell_trajectory", "gen_connected_graph"):
+        monkeypatch.setattr(cli, name, computed)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if argv[0] != "gen-graph":
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: output path '{bad.format(tmp=tmp_path)}' "
+                            "must name a file in an existing directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["theory", "run", "audit"])
+@pytest.mark.parametrize("mode", ["analysis_faithful", "broadcast"])
+def test_broadcast_cells_carry_a_coverage_note(tmp_path, capsys, command, mode):
+    # the note follows the command's output on stderr; the CSV is untouched
+    cfg = small_config(tmp_path, admm={"c": [0.2], "max_iter": 30},
+                       noise={"model": "gaussian", "sigma_e": [1e-3], "delta": 0.0,
+                              "placement_mode": mode})
+    argv = [command, "--config", str(cfg)]
+    if command != "theory":
+        argv += ["--cell", "0.2,0.001", "--out", str(tmp_path / "cell.csv")]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    note = ("note: the certificate does not cover placement_mode=broadcast, "
+            "where the message error also enters the dual update\n")
+    if mode == "broadcast":
+        assert err.endswith(note) and err.count(note) == 1
+    else:
+        assert "note:" not in err
+
+
 # 10**13 iterations ask for at least 437 TiB (the six desk cells' E^DC
 # curves; a run's iterate history is larger still), past the 128 TiB user
 # address space, so the allocation fails whatever the overcommit setting

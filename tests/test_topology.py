@@ -5,9 +5,8 @@ from ncadmm import topology
 from ncadmm.noise import keyed_normals, keyed_uniforms
 from ncadmm.topology import (DEFAULT_MAX_RETRIES, Graph,
                              GraphConnectivityError, build_arc_matrices,
-                             check_laplacian_bound, gen_connected_graph,
-                             read_edge_list, spectral_summary,
-                             write_edge_list)
+                             gen_connected_graph, read_edge_list,
+                             spectral_summary, write_edge_list)
 
 
 def all_pairs_sampler(n_nodes, rho, seed):
@@ -53,6 +52,23 @@ def union_find_connected(n_nodes, edges):
     return all(find(v) == root for v in range(n_nodes))
 
 
+def per_edge_check(n_nodes, edges):
+    """Reference validation: the per-edge loop over (i, j) pairs that Graph
+    ran before it held an array.  The message Graph must raise, or None."""
+    prev = None
+    for i, j in edges:
+        if not (0 <= i < j < n_nodes):
+            return f"edge ({i}, {j}) is not canonical (need 0 <= i < j < N)"
+        if prev is not None and (i, j) <= prev:
+            return "edges must be sorted and unique"
+        prev = (i, j)
+    return None if union_find_connected(n_nodes, edges) else "graph is not connected"
+
+
+def edge_array(edges):
+    return np.array(edges, dtype=np.intp).reshape(-1, 2)
+
+
 def path3():
     return Graph.from_edges(3, [(0, 1), (1, 2)])
 
@@ -80,7 +96,10 @@ class TestGraph:
         ([(0, 2), (0, 1), (1, 1)], "sorted and unique"),
         ([(0, 1), (0, 1), (1, 2)], "sorted and unique"),
         ([(0, 1), (1, 2), (0, 2)], "sorted and unique"),
-        ([(0, 1), (1, 2, 0)], "unpack"),
+        ([(0, 1), (1, 2, 0)], "inhomogeneous"),
+        ([0, 1, 1, 2], r"shape \(E, 2\), got \(4,\)"),
+        ([], r"shape \(E, 2\), got \(0,\)"),
+        ([(0, 1, 2)], r"shape \(E, 2\), got \(1, 3\)"),
     ])
     def test_rejects_non_canonical_edges_at_the_first_offender(self, edges, message):
         with pytest.raises(ValueError, match=message):
@@ -88,7 +107,86 @@ class TestGraph:
 
     def test_from_edges_canonicalizes(self):
         g = Graph.from_edges(3, [(2, 1), (1, 0), (0, 1)])
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("edges", [
+        ((0, 1.5), (1, 2)),
+        np.array([[0.0, 1.0], [1.0, 2.0]]),
+        ((0, 2**70), (1, 2)),
+        np.array([[False, True], [True, True]]),
+    ])
+    def test_rejects_non_integer_edges(self, edges):
+        for build in (Graph, Graph.from_edges):
+            with pytest.raises(ValueError, match="edges must be integers, got dtype"):
+                build(3, edges)
+
+    @pytest.mark.parametrize("edges", [[], [0, 1, 1, 2], [(0, 1, 2)]])
+    def test_from_edges_rejects_lists_of_other_shapes(self, edges):
+        with pytest.raises(ValueError, match=r"edges must have shape \(E, 2\)"):
+            Graph.from_edges(3, edges)
+
+    def test_edges_are_a_read_only_intp_copy(self):
+        for dtype in (np.intp, np.int32, np.uint16):
+            caller = np.array([[0, 1], [1, 2]], dtype=dtype)
+            g = Graph(n_nodes=3, edges=caller)
+            assert g.edges.dtype == np.intp
+            assert not g.edges.flags.writeable
+            assert not np.shares_memory(g.edges, caller)
+            caller[1, 0] = 0  # the caller's array stays writeable and apart
+            assert g.edges.tolist() == [[0, 1], [1, 2]]
+            with pytest.raises(ValueError, match="read-only"):
+                g.edges[1, 0] = 0
+
+    def test_arc_tails_are_a_view_of_the_edges(self):
+        g = gen_connected_graph(12, rho=0.3, seed=1)
+        assert np.shares_memory(build_arc_matrices(g).tail, g.edges)
+
+    def test_agrees_with_the_per_edge_check(self):
+        """Sampler draws and their shuffled, duplicated and out-of-range
+        variants: Graph accepts the same lists and names the same offender."""
+        rng = np.random.default_rng(11)
+        lists = []
+        for n_nodes, rho, seed in ((2, 1.0, 0), (5, 0.6, 1), (12, 0.25, 2), (30, 0.1, 3)):
+            base = gen_connected_graph(n_nodes, rho, seed).edges.tolist()
+            n_edges = len(base)
+            lists.append((n_nodes, base))
+            for _ in range(30):
+                edges = [list(e) for e in base]
+                kind = rng.integers(6)
+                k = int(rng.integers(n_edges))
+                if kind == 0:    # shuffled rows
+                    edges = [edges[t] for t in rng.permutation(n_edges)]
+                elif kind == 1:  # a duplicated row
+                    edges.insert(k + int(rng.integers(2)), list(edges[k]))
+                elif kind == 2:  # a row with its ends swapped
+                    edges[k].reverse()
+                elif kind == 3:  # an end out of range
+                    edges[k][int(rng.integers(2))] = int(rng.choice([-1, n_nodes, n_nodes + 7]))
+                elif kind == 4:  # a self-loop
+                    edges[k][1] = edges[k][0]
+                else:            # a dropped row, which may disconnect the graph
+                    del edges[k]
+                lists.append((n_nodes, [tuple(e) for e in edges]))
+        for n_nodes, rows, seed in ((12, 16, 0), (30, 55, 1), (60, 130, 2)):
+            u = keyed_uniforms(seed, (9,), 2 * rows)
+            pairs = zip((u[:rows] * n_nodes).astype(int).tolist(),
+                        (u[rows:] * n_nodes).astype(int).tolist())
+            lists.append((n_nodes, sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})))
+        outcomes = set()
+        for n_nodes, edges in lists:
+            expected = per_edge_check(n_nodes, edges)
+            outcomes.add(expected.split(" (")[0] if expected else None)
+            # an empty tuple has no (E, 2) shape, so only its array form is compared
+            forms = (edge_array(edges), tuple(map(tuple, edges)))[:1 + bool(edges)]
+            for form in forms:
+                if expected is None:
+                    assert Graph(n_nodes=n_nodes, edges=form).edges.tolist() == \
+                        [list(e) for e in edges]
+                    continue
+                with pytest.raises(ValueError) as info:
+                    Graph(n_nodes=n_nodes, edges=form)
+                assert str(info.value) == expected, (n_nodes, edges)
+        assert len(outcomes) == 4 and None in outcomes
 
     def test_arc_count_is_twice_edges(self):
         g = triangle()
@@ -134,25 +232,24 @@ class TestIsConnected:
         outcomes = set()
         for n_nodes, edges in self.edge_sets():
             expected = union_find_connected(n_nodes, edges)
-            edge_array = np.array(edges, dtype=np.intp).reshape(-1, 2)
-            assert topology._is_connected(n_nodes, edge_array) == expected, (n_nodes, edges)
+            assert topology._is_connected(n_nodes, edge_array(edges)) == expected, (n_nodes, edges)
             outcomes.add(expected)
         assert outcomes == {True, False}
 
     def test_graph_accepts_exactly_the_connected_edge_sets(self):
         for n_nodes, edges in self.edge_sets():
             if union_find_connected(n_nodes, edges):
-                assert Graph(n_nodes=n_nodes, edges=tuple(edges)).n_edges == len(edges)
+                assert Graph(n_nodes=n_nodes, edges=edge_array(edges)).n_edges == len(edges)
             else:
                 with pytest.raises(ValueError, match="graph is not connected"):
-                    Graph(n_nodes=n_nodes, edges=tuple(edges))
+                    Graph(n_nodes=n_nodes, edges=edge_array(edges))
 
 
 class TestGenConnectedGraph:
     def test_complete_graph_forced(self):
         g = gen_connected_graph(5, rho=1.0, seed=7)
         assert g.n_edges == 10
-        assert g.edges == tuple((i, j) for i in range(5) for j in range(i + 1, 5))
+        assert g.edges.tolist() == [[i, j] for i in range(5) for j in range(i + 1, 5)]
 
     def test_edge_count_formula(self):
         g = gen_connected_graph(200, rho=0.04, seed=3)
@@ -175,12 +272,12 @@ class TestGenConnectedGraph:
     def test_reproducible(self):
         a = gen_connected_graph(30, rho=0.12, seed=42)
         b = gen_connected_graph(30, rho=0.12, seed=42)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
 
     def test_seed_changes_sample(self):
         a = gen_connected_graph(30, rho=0.12, seed=42)
         b = gen_connected_graph(30, rho=0.12, seed=43)
-        assert a.edges != b.edges
+        assert not np.array_equal(a.edges, b.edges)
 
     def test_retry_budget_failure_is_explicit(self, monkeypatch):
         # A tree-sparse sample on 30 nodes is essentially never connected on
@@ -206,8 +303,8 @@ class TestGenConnectedGraph:
     ])
     def test_matches_all_pairs_sampler(self, n_nodes, rho, seeds):
         for seed in seeds:
-            assert gen_connected_graph(n_nodes, rho, seed).edges == \
-                all_pairs_sampler(n_nodes, rho, seed)
+            assert np.array_equal(gen_connected_graph(n_nodes, rho, seed).edges,
+                                  all_pairs_sampler(n_nodes, rho, seed))
 
 
 class TestArcMatrices:
@@ -315,19 +412,11 @@ class TestSpectralSummary:
         s = spectral_summary(build_arc_matrices(path3()))
         assert s.sigma_max_mplus == pytest.approx(np.sqrt(6.0), rel=1e-12)
         assert s.sigma_min_nz_mminus == pytest.approx(np.sqrt(2.0), rel=1e-12)
-        assert s.l_max == pytest.approx(3.0, rel=1e-12)
         assert s.max_degree == 2
 
     def test_triangle_values(self):
         s = spectral_summary(build_arc_matrices(triangle()))
         assert s.sigma_max_mplus == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
-        assert s.l_max == pytest.approx(4.0, rel=1e-12)
-
-    def test_lmax_equals_half_sigma_sq(self):
-        for seed in range(5):
-            g = gen_connected_graph(14, rho=0.3, seed=seed)
-            s = spectral_summary(build_arc_matrices(g))
-            assert s.l_max == pytest.approx(0.5 * s.sigma_max_mplus**2, rel=1e-12)
 
     def test_lift_invariance(self):
         # Singular values of the Kronecker lift match the base matrices.
@@ -342,14 +431,17 @@ class TestSpectralSummary:
             assert nz.min() == pytest.approx(s.sigma_min_nz_mminus, rel=1e-10)
 
     def test_laplacian_bound_path_and_triangle(self):
-        assert check_laplacian_bound(spectral_summary(build_arc_matrices(path3())))
-        # tight case: complete graph hits equality
-        assert check_laplacian_bound(spectral_summary(build_arc_matrices(triangle())))
+        # lambda_max(D + W) = 0.5 * sigma_max_mplus**2 <= 2 * d_max, with
+        # equality on the complete graph; the slack absorbs solver roundoff
+        for g in (path3(), triangle()):
+            s = spectral_summary(build_arc_matrices(g))
+            assert 0.5 * s.sigma_max_mplus**2 <= 2.0 * s.max_degree * (1.0 + 1e-9)
+        assert 0.5 * s.sigma_max_mplus**2 == pytest.approx(4.0, rel=1e-12)
 
     def test_all_values_finite_nonnegative(self):
         g = gen_connected_graph(20, rho=0.15, seed=9)
         s = spectral_summary(build_arc_matrices(g))
-        vals = [s.sigma_max_mplus, s.sigma_max_mminus, s.sigma_min_nz_mminus, s.l_max]
+        vals = [s.sigma_max_mplus, s.sigma_max_mminus, s.sigma_min_nz_mminus]
         assert all(np.isfinite(v) and v >= 0 for v in vals)
 
 
@@ -358,7 +450,7 @@ class TestEdgeListSerialization:
         g = gen_connected_graph(12, rho=0.3, seed=4)
         path = tmp_path / "g.edges"
         write_edge_list(g, path)
-        assert read_edge_list(path).edges == g.edges
+        assert np.array_equal(read_edge_list(path).edges, g.edges)
 
     def test_header_format(self, tmp_path):
         g = path3()
@@ -370,4 +462,16 @@ class TestEdgeListSerialization:
         path = tmp_path / "bad.edges"
         path.write_text("3 2\n0 1\n")
         with pytest.raises(ValueError, match="expected"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n0 1\n1 99999999999999999999\n", "node index out of range"),
+        ("3 2\n0 1\n1 7\n", r"edge \(1, 7\) is not canonical"),
+        ("3 2\n0 1\n1 x\n", "invalid literal"),
+        ("3 0\n", "graph is not connected"),
+    ])
+    def test_bad_indices_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             read_edge_list(path)
