@@ -40,17 +40,18 @@ Error blocks are keyed by (seed, trial, cell, node, iteration-of-the-
 perturbed-iterate), so both engines and both modes replay the identical
 realization from the same stream.
 
-Gaussian and fixed-norm error does not depend on x, so the engines draw it
-for a chunk of iterations per :func:`sample_error_block` call (about 8192
-node-iterations); the values are identical to per-iteration draws.
-Quantizer error depends on x and is drawn per iteration.  Each message is
-drawn once and summed over neighbors once: in ``broadcast`` mode the
-message x^{k+1} + e^{k+1} and its neighbor sum serve the dual update that
-consumes it and the next x-update.  In ``analysis_faithful`` mode the dual
-update needs the neighbor sum of x^{k+1} and the next x-update that of
-x^{k+1} + e^{k+1}; both come from one neighbor sum over the (2, N, n)
-stack of the two, whose slices equal the separate sums bit for bit.  A run
-of K iterations therefore takes K + 1 neighbor sums in either mode.
+Gaussian, fixed-norm and zero error do not depend on x, so the engines
+draw it for a chunk of iterations per :func:`sample_error_block` call
+(about 8192 node-iterations), identical to per-iteration draws; quantizer
+error depends on x and is drawn per message.  ``run_decentralized`` takes
+one step per message, k = 0..K: the message of x^k (none for x^K in
+``analysis_faithful`` mode), then the dual update for k >= 1, then the
+x-update for k < K.  Each message is drawn and summed over neighbors once.
+In ``broadcast`` mode the message x^k + e^k and its sum serve the dual
+update that consumes x^k and the next x-update; in ``analysis_faithful``
+mode one sum over the (2, N, n) stack [x^k, x^k + e^k] gives both, its
+slices equal to the separate sums bit for bit.  A run of K iterations
+therefore takes K + 1 neighbor sums in either mode.
 
 A :class:`Trajectory` holds only engine state (iterates, per-node duals,
 error blocks and the initial arc dual).  The arc-space quantities derived
@@ -76,7 +77,6 @@ PLACEMENT_MODES = (ANALYSIS_FAITHFUL, BROADCAST)
 # about 4k lanes, and a chunk of 8k lanes peaks near 1.5 MB at any N
 # (tracemalloc, n = 3: 1.48-1.52 MB for N in {20, 50, 200}).
 _CHUNK_LANES = 8192
-_STATE_FREE_KINDS = ("gaussian", "fixed_norm")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +168,11 @@ def _solve_operators(g: Graph, obj: ObjectiveSet, c: float) -> np.ndarray:
 def _error_source(model: NoiseModel, stream: RandomStream, n_nodes: int, n_draws: int):
     """``error(k, x)``: the error block on the messages carrying iterate k.
 
-    State-free kinds are drawn ``max(1, _CHUNK_LANES // n_nodes)``
-    iterations per call, over iterations 0..n_draws-1; requests must come
-    in nondecreasing k.  Other kinds are drawn from x per request.
+    Quantizer error is drawn from x per request.  Every other kind is drawn
+    ``max(1, _CHUNK_LANES // n_nodes)`` iterations per call, over
+    iterations 0..n_draws-1; requests must come in nondecreasing k.
     """
-    if model.kind not in _STATE_FREE_KINDS:
+    if model.kind == "quantizer":
         return lambda k, x: sample_error_block(model, x, stream, k)
     chunk = max(1, _CHUNK_LANES // n_nodes)
     start, block = 0, np.empty((0,))
@@ -236,7 +236,6 @@ def run_decentralized(
     alphas = e_xs = beta0 = None
     if full:
         alphas = np.empty_like(xs)
-        alphas[0] = alpha
         e_xs = np.empty((max_iter, n_nodes, dim))
         beta0 = np.zeros((g.n_arcs, dim))
 
@@ -250,49 +249,39 @@ def run_decentralized(
     w = np.empty((2, n_nodes, dim))
     rhs = np.empty((n_nodes, dim))
 
-    # broadcast also perturbs the message carrying the final iterate; that
-    # message is drawn and summed once and feeds the next x-update as well
+    # one step per message of x^k, k = 0..K; broadcast also perturbs the
+    # message of the final iterate, analysis_faithful sends none for it
     faithful = mode == ANALYSIS_FAITHFUL
     n_draws = max_iter if faithful else max_iter + 1
     error = _error_source(model, stream, n_nodes, n_draws)
-    e_k = error(0, x)
-    np.add(x, e_k, out=stack[1])
-    np.multiply(deg2[1], stack[1] if faithful else x, out=w[1])
-    w[1] += am.neighbor_sum(stack[1])
-    w[1] *= c
-    np.subtract(obj.rhs, alpha, out=rhs)
-    rhs += w[1]
-    for k in range(max_iter):
-        x = np.einsum("nij,nj->ni", inv_ops, rhs, out=xs[k + 1])
-        e_next = error(k + 1, x) if k + 1 < n_draws else None
-        if not faithful:
-            # one product d x^{k+1}: minus the sum for the dual, plus it for the x-update
-            nb_hat = am.neighbor_sum(np.add(x, e_next, out=stack[1]))
-            np.multiply(deg2[0], x, out=w[0])
-            np.add(w[0], nb_hat, out=w[1])
-            w[0] -= nb_hat
-        elif e_next is None:
-            # the final analysis_faithful step: no message, no next x-update
-            np.multiply(deg2[0], x, out=w[0])
-            w[0] -= am.neighbor_sum(x)
-            w[1] = 0.0
-        else:
-            # x^{k+1} and its message x^{k+1} + e^{k+1}, summed in one call
+    for k in range(max_iter + 1):
+        e_k = error(k, x) if k < n_draws else 0.0
+        np.add(x, e_k, out=stack[1])
+        if faithful:
+            # x^k and its message x^k + e^k, summed in one call
             stack[0] = x
-            np.add(x, e_next, out=stack[1])
             nb = am.neighbor_sum(stack)
             np.multiply(deg2, stack, out=w)
             w[0] -= nb[0]
             w[1] += nb[1]
+        else:
+            # one product d x^k: minus the sum for the dual, plus it for the x-update
+            nb_hat = am.neighbor_sum(stack[1])
+            np.multiply(deg2[0], x, out=w[0])
+            np.add(w[0], nb_hat, out=w[1])
+            w[0] -= nb_hat
         w *= c
-        alpha += w[0]
+        if k:
+            alpha += w[0]
+        if full:
+            alphas[k] = alpha
+        if k == max_iter:
+            break
+        if full:
+            e_xs[k] = e_k
         np.subtract(obj.rhs, alpha, out=rhs)
         rhs += w[1]
-
-        if full:
-            alphas[k + 1] = alpha
-            e_xs[k] = e_k
-        e_k = e_next
+        x = np.einsum("nij,nj->ni", inv_ops, rhs, out=xs[k + 1])
 
     return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta0)
 

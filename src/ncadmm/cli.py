@@ -138,8 +138,14 @@ def _note_placement(cfg: ExperimentConfig) -> None:
               "where the message error also enters the dual update", file=sys.stderr)
 
 
-def _cell_trajectory(cfg: ExperimentConfig, cell_idx: int):
-    """Trial 0 of one sweep cell, full record, plus its reference point."""
+def _cell_trajectory(args):
+    """Config, trial 0 of the ``--cell`` cell (full record) and its reference point.
+
+    The config, the cell and the output path are checked before any compute.
+    """
+    cfg = _load_with_overrides(args)
+    cell_idx = _parse_cell(cfg, args.cell)
+    _check_out_paths(args.out)
     g, obj = trial_instance(cfg, 0)
     c, sigma_e = cfg.cells()[cell_idx]
     traj = run_decentralized(
@@ -147,7 +153,7 @@ def _cell_trajectory(cfg: ExperimentConfig, cell_idx: int):
         cfg.admm.max_iter, RandomStream(seed=cfg.seed, trial=0, cell=cell_idx),
         record="full",
     )
-    return g, obj, traj, reference_point(g, obj), c, sigma_e
+    return cfg, g, obj, traj, reference_point(g, obj), c, sigma_e
 
 
 def _write_lines(lines, out_path) -> None:
@@ -183,10 +189,7 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_with_overrides(args)
-    cell_idx = _parse_cell(cfg, args.cell)
-    _check_out_paths(args.out)
-    g, obj, traj, ref, c, sigma_e = _cell_trajectory(cfg, cell_idx)
+    cfg, g, obj, traj, ref, c, sigma_e = _cell_trajectory(args)
     # overflow (a huge sigma_e, say) is reported once, by require_finite
     with np.errstate(over="ignore", invalid="ignore"):
         gnorm = gnorm_series(traj, ref)
@@ -205,10 +208,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    cfg = _load_with_overrides(args)
-    cell_idx = _parse_cell(cfg, args.cell)
-    _check_out_paths(args.out)
-    g, obj, traj, ref, c, sigma_e = _cell_trajectory(cfg, cell_idx)
+    cfg, g, obj, traj, ref, c, sigma_e = _cell_trajectory(args)
     if obj.m_f <= 0.0:
         raise ConfigError("instance has m_f = 0; no certificate to audit "
                           "(try design_kind=well_conditioned)")

@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError("noise.sigma_e entries must be distinct")
         if self.noise.delta < 0.0:
             raise ConfigError("noise.delta must be nonnegative")
+        if self.noise.model == "quantizer" and self.noise.delta == 0.0:
+            raise ConfigError("noise.delta must be positive for noise.model quantizer")
         if self.noise.placement_mode not in PLACEMENT_MODES:
             raise ConfigError(f"noise.placement_mode must be one of {PLACEMENT_MODES}")
         if not self.output.csv_path:

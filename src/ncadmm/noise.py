@@ -220,7 +220,7 @@ class NoiseModel:
       none        e = 0
       gaussian    components i.i.d. N(0, sigma_e^2)
       quantizer   e = delta * round(x / delta) - x, half away from zero
-                  (deterministic in x, ignores the stream)
+                  (deterministic in x, ignores the stream; delta > 0)
       fixed_norm  random direction scaled so ||e||_2 = sigma_e exactly
     """
 
@@ -233,6 +233,8 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
         if self.sigma_e < 0.0 or self.delta < 0.0:
             raise ValueError("noise parameters must be nonnegative")
+        if self.kind == "quantizer" and self.delta == 0.0:
+            raise ValueError("the quantizer needs a positive delta")
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -270,8 +272,6 @@ def sample_error_block(
     if model.kind == "none":
         return np.zeros(shape)
     if model.kind == "quantizer":
-        if model.delta == 0.0:
-            return np.zeros(shape)
         t = x_nodes / model.delta
         quantized = model.delta * (np.sign(t) * np.floor(np.abs(t) + 0.5))
         error = quantized - x_nodes

@@ -269,6 +269,14 @@ class TestChunkedDraws:
         g, obj = steady_instance
         self.check_decentralized(g, obj, model, mode, 420)
 
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_shortest_runs_match_per_iteration_loop(self, instance, model, mode, max_iter):
+        """At K=1 the first message step is also the last; at K=2 one step lies between."""
+        g, obj = instance
+        self.check_decentralized(g, obj, model, mode, max_iter)
+
     @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
     def test_light_record_matches_per_iteration_loop(self, instance, model, mode):
@@ -412,6 +420,29 @@ def test_quantizer_draws_each_message_once(monkeypatch, mode, n_messages):
     run_decentralized(g, obj, 0.5, NoiseModel.quantizer(1e-3), mode, 10,
                       RandomStream(seed=1))
     assert iterations == list(range(n_messages))
+
+
+@pytest.mark.parametrize("mode, n_messages", [(ANALYSIS_FAITHFUL, 100), (BROADCAST, 101)])
+@pytest.mark.parametrize("model", [NoiseModel.none(), NoiseModel.gaussian(1e-2),
+                                   NoiseModel.fixed_norm(1e-2)], ids=lambda m: m.kind)
+def test_state_free_kinds_draw_one_call_per_chunk(monkeypatch, model, mode, n_messages):
+    """Error that does not depend on x, zero error included, is drawn a chunk per call.
+
+    At N=200 a chunk is 40 iterations, so 100 iterations take three calls.
+    """
+    iterations = []
+    real = admm.sample_error_block
+
+    def counting(model, x_nodes, stream, iteration, *args, **kwargs):
+        iterations.append(np.asarray(iteration).tolist())
+        return real(model, x_nodes, stream, iteration, *args, **kwargs)
+
+    monkeypatch.setattr(admm, "sample_error_block", counting)
+    g, obj = small_setup(23, n_nodes=200, rho=0.05)
+    run_decentralized(g, obj, 0.5, model, mode, 100, RandomStream(seed=1))
+    assert admm._CHUNK_LANES // 200 == 40
+    assert iterations == [list(range(start, min(start + 40, n_messages)))
+                          for start in range(0, n_messages, 40)]
 
 
 @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])

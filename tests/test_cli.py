@@ -318,7 +318,7 @@ def test_unwritable_output_path_fails_before_any_compute(tmp_path, monkeypatch, 
     def computed(*args, **kwargs):
         pytest.fail("computed")
 
-    for name in ("run_experiment", "_cell_trajectory", "gen_connected_graph"):
+    for name in ("run_experiment", "trial_instance", "gen_connected_graph"):
         monkeypatch.setattr(cli, name, computed)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if argv[0] != "gen-graph":
@@ -329,6 +329,28 @@ def test_unwritable_output_path_fails_before_any_compute(tmp_path, monkeypatch, 
     assert captured.err == (f"error: output path '{bad.format(tmp=tmp_path)}' "
                             "must name a file in an existing directory\n")
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command, out_flag", [
+    (["run", "--cell", "0.1,0.001"], "--out"),
+    (["audit", "--cell", "0.1,0.001"], "--out"),
+    (["experiment"], "--csv"),
+], ids=["run", "audit", "experiment"])
+def test_quantizer_without_delta_fails_before_any_compute(tmp_path, monkeypatch, capsys,
+                                                          command, out_flag):
+    # the desk profile's delta is 0, which would quantize nothing
+    def computed(*args, **kwargs):
+        pytest.fail("computed")
+
+    for name in ("run_experiment", "trial_instance"):
+        monkeypatch.setattr(cli, name, computed)
+    out = tmp_path / "out.csv"
+    argv = command + ["--model", "quantizer", "--max-iter", "20", out_flag, str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: noise.delta must be positive for noise.model quantizer\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["theory", "run", "audit"])

@@ -100,6 +100,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, {"admm": {"c": [0.0]}}))
 
+    def test_rejects_quantizer_with_zero_delta(self, tmp_path):
+        # delta defaults to 0, which would quantize nothing
+        with pytest.raises(ConfigError, match="noise.delta must be positive"):
+            load_config(write(tmp_path, {"noise": {"model": "quantizer"}}))
+        cfg = load_config(write(tmp_path, {"noise": {"model": "quantizer", "delta": 1e-3}}))
+        assert cfg.noise_model(1e-3).delta == 1e-3
+
 
     @pytest.mark.parametrize("doc, field", [
         ({"admm": {"c": [float("inf")]}}, "admm.c"),

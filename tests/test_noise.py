@@ -166,6 +166,11 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(kind="gaussian", sigma_e=-1.0)
 
+    def test_rejects_quantizer_with_zero_delta(self):
+        # a zero step would leave every message exact: a silently noiseless run
+        with pytest.raises(ValueError, match="positive delta"):
+            NoiseModel.quantizer(0.0)
+
     def test_none_is_zero(self):
         e = one_error(NoiseModel.none(), np.ones(4), stream())
         assert np.array_equal(e, np.zeros(4))
