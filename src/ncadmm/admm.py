@@ -188,8 +188,6 @@ def _error_source(model: NoiseModel, stream: RandomStream, n_nodes: int, n_draws
 
 
 def _check_run_args(g: Graph, obj: ObjectiveSet, c: float, max_iter: int) -> None:
-    if g.n_edges == 0:
-        raise ValueError("graph has no edges; the iteration is undefined")
     if obj.n_nodes != g.n_nodes:
         raise ValueError(
             f"objective has {obj.n_nodes} locals but graph has {g.n_nodes} nodes"

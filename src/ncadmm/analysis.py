@@ -48,7 +48,9 @@ from .topology import Graph, SpectralSummary, build_arc_matrices
 _RATIO_FLOOR = 1e-14
 _AUDIT_TOL = 1e-12
 
-DEFAULT_MU_GRID_POINTS = 121
+# The certificate-search grid: mu = 1 + 10^t, t in [-3, 3], 121 points.
+MU_GRID = 1.0 + 10.0 ** np.linspace(-3.0, 3.0, 121)
+MU_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,20 @@ class TheoryReport:
         return self.cond_squared and self.cond_linear
 
 
+def _certificate(spec: SpectralSummary, m_f: float, M_f: float, c: float, mu):
+    """(a, b, delta) of the module docstring, for a scalar ``mu`` or an array of them."""
+    if c <= 0.0:
+        raise ValueError(f"c must be positive, got {c}")
+    if m_f <= 0.0:
+        raise ValueError(f"m_f must be positive, got {m_f}")
+    sp = spec.sigma_max_mplus
+    sm = spec.sigma_max_mminus
+    smn = spec.sigma_min_nz_mminus
+    a = 0.25 * c * sp**2 + 2.0 * mu * M_f**2 / (c * smn**2) + 4.0 * c * sp**2 * sm**2 / smn**4
+    b = 2.0 * sp**2 / ((1.0 - 1.0 / mu) * smn**2)
+    return a, b, np.minimum((m_f - 0.5 * c * sp) / a, 1.0 / b)
+
+
 def theory_constants(
     spec: SpectralSummary,
     m_f: float,
@@ -101,16 +117,9 @@ def theory_constants(
     """
     if mu <= 1.0:
         raise ValueError(f"mu must exceed 1, got {mu}")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    if m_f <= 0.0:
-        raise ValueError(f"m_f must be positive, got {m_f}")
+    a, b, delta = _certificate(spec, m_f, M_f, c, mu)
+    delta = float(delta)  # np.minimum returns np.float64; report fields are floats
     sp = spec.sigma_max_mplus
-    sm = spec.sigma_max_mminus
-    smn = spec.sigma_min_nz_mminus
-    a = 0.25 * c * sp**2 + 2.0 * mu * M_f**2 / (c * smn**2) + 4.0 * c * sp**2 * sm**2 / smn**4
-    b = 2.0 * sp**2 / ((1.0 - 1.0 / mu) * smn**2)
-    delta = min((m_f - 0.5 * c * sp) / a, 1.0 / b)
     denom_sq = m_f - 0.5 * c * sp**2
     return TheoryReport(
         m_f=m_f,
@@ -118,8 +127,8 @@ def theory_constants(
         c=c,
         mu=mu,
         sigma_max_mplus=sp,
-        sigma_max_mminus=sm,
-        sigma_min_nz_mminus=smn,
+        sigma_max_mminus=spec.sigma_max_mminus,
+        sigma_min_nz_mminus=spec.sigma_min_nz_mminus,
         a=a,
         b=b,
         delta=delta,
@@ -132,33 +141,24 @@ def theory_constants(
     )
 
 
-def mu_grid() -> np.ndarray:
-    """The documented certificate-search grid: mu = 1 + 10^t, t in [-3, 3]."""
-    return 1.0 + 10.0 ** np.linspace(-3.0, 3.0, DEFAULT_MU_GRID_POINTS)
-
-
 def optimize_delta(
     spec: SpectralSummary,
     m_f: float,
     M_f: float,
     c: float,
 ) -> tuple[float, float]:
-    """Best (mu, delta) over the log-spaced grid.
+    """Best (mu, delta) over :data:`MU_GRID`, the first maximum in grid order.
 
     A grid search, not an analytic optimum: the returned delta is a valid
     certificate because the bound holds for every mu > 1.  When the linear
     condition m_f >= c * sigma_max(Mplus) / 2 fails, no positive delta
     exists and (2.0, 0.0) is returned.
     """
-    sp = spec.sigma_max_mplus
-    if m_f - 0.5 * c * sp < 0.0:
+    if m_f - 0.5 * c * spec.sigma_max_mplus < 0.0:
         return 2.0, 0.0
-    best_mu, best_delta = None, -math.inf
-    for mu in mu_grid():
-        delta = theory_constants(spec, m_f, M_f, c, float(mu)).delta
-        if delta > best_delta:
-            best_mu, best_delta = float(mu), delta
-    return best_mu, max(best_delta, 0.0)
+    deltas = _certificate(spec, m_f, M_f, c, MU_GRID)[2]
+    best = int(np.argmax(deltas))
+    return float(MU_GRID[best]), max(float(deltas[best]), 0.0)
 
 
 @dataclass(eq=False)
@@ -183,10 +183,6 @@ class ContractionAudit:
     x_bound_violations: list[int]
     bound: float
     conditions_hold: bool
-
-    @property
-    def n_violations(self) -> int:
-        return len(self.contraction_violations) + len(self.x_bound_violations)
 
 
 def _blocks(traj: Trajectory, n_rows: int):

@@ -118,11 +118,6 @@ def uniforms(states, count: int) -> np.ndarray:
     return _uniform_block(states[..., None], np.arange(count, dtype=np.uint64))
 
 
-def keyed_uniforms(seed: int, coords, count: int) -> np.ndarray:
-    """``count`` uniforms in [0, 1) from the substream (seed, coords)."""
-    return uniforms(fold_key(seed, coords), count)
-
-
 def _polar_attempt(states: np.ndarray, counters: np.ndarray):
     """One polar attempt per pair, from the uniforms at ``counters`` (..., 2 * pairs).
 
@@ -177,11 +172,6 @@ def polar_normals(states, count: int) -> np.ndarray:
     if pending.size:
         raise RuntimeError("polar sampling failed to accept after many rounds")
     return out.view(np.float64).reshape(states.shape + (2 * pairs,))[..., :count]
-
-
-def keyed_normals(seed: int, coords, count: int) -> np.ndarray:
-    """``count`` standard normals from the substream (seed, coords)."""
-    return polar_normals(np.uint64(fold_key(seed, coords)), count)
 
 
 @dataclass(frozen=True)

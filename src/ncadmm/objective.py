@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import fold_lanes, keyed_normals, polar_normals, uniforms
+from .noise import fold_key, fold_lanes, polar_normals, uniforms
 
 _PROBLEM_DOMAIN = 2
 _TAG_DESIGN = 0
@@ -126,7 +126,7 @@ def make_problem(
     if obs_noise_var < 0.0:
         raise ValueError("obs_noise_var must be nonnegative")
 
-    true_x = keyed_normals(seed, (_PROBLEM_DOMAIN, _TAG_TRUE_X), dim)
+    true_x = polar_normals(fold_key(seed, (_PROBLEM_DOMAIN, _TAG_TRUE_X)), dim)
     nodes = np.arange(n_nodes)
     designs = polar_normals(fold_lanes(seed, (_PROBLEM_DOMAIN, _TAG_DESIGN), nodes),
                             dim * dim).reshape(n_nodes, dim, dim)

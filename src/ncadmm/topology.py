@@ -28,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .noise import keyed_uniforms
+from .noise import fold_key, uniforms
 
 # Domain tag separating graph-sampling randomness from every other consumer
-# of the keyed RNG (see noise.keyed_uniforms).
+# of the keyed RNG (see noise.fold_key).
 _GRAPH_DOMAIN = 3
 
 DEFAULT_MAX_RETRIES = 10_000
@@ -269,7 +269,7 @@ def gen_connected_graph(n_nodes: int, rho: float, seed: int) -> Graph:
     row_start = np.arange(n_nodes) * (2 * n_nodes - np.arange(n_nodes) - 1) // 2
     pos = np.arange(n_edges)
     for attempt in range(DEFAULT_MAX_RETRIES):
-        u = keyed_uniforms(seed, (_GRAPH_DOMAIN, attempt), n_edges)
+        u = uniforms(fold_key(seed, (_GRAPH_DOMAIN, attempt)), n_edges)
         chosen, moved = [], {}
         for t, r in enumerate((pos + (u * (e_complete - pos)).astype(np.int64)).tolist()):
             chosen.append(moved.get(r, r))
@@ -358,6 +358,9 @@ def read_edge_list(path) -> Graph:
     text = Path(path).read_text(encoding="ascii").split()
     if len(text) < 2:
         raise ValueError(f"{path}: missing header")
+    if not (text[0].isdigit() and text[1].isdigit()):
+        raise ValueError(f"{path}: header must be two nonnegative integers `N E`, "
+                         f"got {' '.join(text[:2])!r}")
     n_nodes, n_edges = int(text[0]), int(text[1])
     nums = text[2:]
     if len(nums) != 2 * n_edges:

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from ncadmm.admm import (ANALYSIS_FAITHFUL, Trajectory, reference_point,
                          run_decentralized, run_matrix_form, x_err_series)
-from ncadmm.analysis import (audit_contraction, edc_metric, error_gates,
-                             gnorm_series, mu_grid, optimize_delta,
+from ncadmm.analysis import (MU_GRID, audit_contraction, edc_metric,
+                             error_gates, gnorm_series, optimize_delta,
                              steady_state_check, theory_constants)
 from ncadmm.noise import NoiseModel, RandomStream
 from ncadmm.objective import make_problem
-from ncadmm.topology import (Graph, build_arc_matrices, gen_connected_graph,
-                             spectral_summary)
+from ncadmm.topology import (Graph, SpectralSummary, build_arc_matrices,
+                             gen_connected_graph, spectral_summary)
 
 # Frozen from an independent evaluation of the closed forms with 40-digit
 # arithmetic: sigma_max(Mplus) = sigma_max(Mminus) = sqrt(6) and
@@ -127,7 +127,7 @@ class TestOptimizeDelta:
         spec = p3_summary()
         _, delta_star = optimize_delta(spec, 1.0, 1.0, 0.1)
         assert all(theory_constants(spec, 1.0, 1.0, 0.1, float(mu)).delta
-                   <= delta_star for mu in mu_grid())
+                   <= delta_star for mu in MU_GRID)
 
     def test_infeasible_returns_zero(self):
         spec = p3_summary()
@@ -136,9 +136,57 @@ class TestOptimizeDelta:
         assert delta == 0.0
 
     def test_grid_shape(self):
-        grid = mu_grid()
+        grid = MU_GRID
         assert grid.shape == (121,)
         assert grid[0] == pytest.approx(1.001) and grid[-1] == pytest.approx(1001.0)
+
+    def test_grid_is_read_only(self):
+        with pytest.raises(ValueError):
+            MU_GRID[0] = 2.0
+
+    def test_equals_the_per_mu_scan(self):
+        # the search as one scalar evaluation of delta per grid point, kept
+        # by a strict > scan: the array pass must return the same floats
+        def scalar_delta(spec, m_f, M_f, c, mu):
+            sp, sm = spec.sigma_max_mplus, spec.sigma_max_mminus
+            smn = spec.sigma_min_nz_mminus
+            a = (0.25 * c * sp**2 + 2.0 * mu * M_f**2 / (c * smn**2)
+                 + 4.0 * c * sp**2 * sm**2 / smn**4)
+            b = 2.0 * sp**2 / ((1.0 - 1.0 / mu) * smn**2)
+            return min((m_f - 0.5 * c * sp) / a, 1.0 / b)
+
+        def per_mu_scan(spec, m_f, M_f, c):
+            if m_f - 0.5 * c * spec.sigma_max_mplus < 0.0:
+                return 2.0, 0.0
+            best_mu, best_delta = None, -math.inf
+            for mu in (1.0 + 10.0 ** np.linspace(-3.0, 3.0, 121)).tolist():
+                delta = scalar_delta(spec, m_f, M_f, c, mu)
+                if delta > best_delta:
+                    best_mu, best_delta = mu, delta
+            return best_mu, max(best_delta, 0.0)
+
+        rng = np.random.default_rng(1701)
+        infeasible = 0
+        for trial in range(1500):
+            sm, m_f, c = 10.0 ** rng.uniform([-1.0, -3.0, -4.0], [1.5, 1.0, 1.0])
+            spec = SpectralSummary(
+                sigma_max_mplus=float(10.0 ** rng.uniform(-1.0, 1.5)),
+                sigma_max_mminus=float(sm),
+                sigma_min_nz_mminus=float(sm * 10.0 ** rng.uniform(-3.0, 0.0)),
+                max_degree=int(rng.integers(1, 50)))
+            M_f = float(m_f * 10.0 ** rng.uniform(0.0, 3.0))
+            if trial % 5 == 0:
+                M_f = 0.0  # a no longer grows with mu, so delta ties on a plateau
+            m_f, c = float(m_f), float(c)
+            expected = per_mu_scan(spec, m_f, M_f, c)
+            got = optimize_delta(spec, m_f, M_f, c)
+            assert got == expected
+            assert all(type(v) is float for v in got)
+            infeasible += expected == (2.0, 0.0)
+            report = theory_constants(spec, m_f, M_f, c, got[0])
+            assert report.delta == scalar_delta(spec, m_f, M_f, c, got[0])
+            assert all(type(v) is float for v in (report.a, report.b, report.delta))
+        assert 200 < infeasible < 1300
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,7 +212,7 @@ class TestAuditContraction:
                                  300, RandomStream(seed=1))
         audit = audit_contraction(traj, ref, report)
         assert audit.conditions_hold
-        assert audit.n_violations == 0
+        assert audit.contraction_violations + audit.x_bound_violations == []
         assert np.all(audit.gates)  # zero error always passes the gate
 
     def test_reference_point_run_is_skipped(self):
@@ -176,7 +224,7 @@ class TestAuditContraction:
                                x0=ref.x_star, beta0=ref.beta_star)
         audit = audit_contraction(traj, ref, report)
         assert np.all(audit.skipped)
-        assert audit.n_violations == 0
+        assert audit.contraction_violations + audit.x_bound_violations == []
 
     def test_gate_eventually_alternates_under_fixed_norm_noise(self):
         g, obj, spec, c = certified_setup(2)
@@ -186,7 +234,7 @@ class TestAuditContraction:
         traj = run_decentralized(g, obj, c, NoiseModel.fixed_norm(1e-3),
                                  ANALYSIS_FAITHFUL, 400, RandomStream(seed=3))
         audit = audit_contraction(traj, ref, report)
-        assert audit.n_violations == 0
+        assert audit.contraction_violations + audit.x_bound_violations == []
         assert audit.gates[:20].all()      # far from the floor: gated
         assert (~audit.gates).any()        # at the floor the gate switches off
 
@@ -210,7 +258,7 @@ class TestAuditContraction:
                                  ANALYSIS_FAITHFUL, 50, RandomStream(seed=5))
         audit = audit_contraction(traj, ref, report)
         assert not audit.checked.any()
-        assert audit.n_violations == 0
+        assert audit.contraction_violations + audit.x_bound_violations == []
 
 
 class TestSteadyState:

@@ -3,8 +3,10 @@ import warnings
 
 import pytest
 
-from ncadmm import cli
+from ncadmm import cli, experiment
 from ncadmm.cli import main
+from ncadmm.config import full_config
+from ncadmm.objective import ObjectiveSet
 from ncadmm.topology import read_edge_list
 
 
@@ -287,6 +289,19 @@ class TestExperiment:
         assert rc == 0
         assert alt.exists()
 
+    def test_full_flag_selects_the_large_profile(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        seen = []
+
+        def stop_before_the_sweep(cfg, jobs=1, quiet=False):
+            seen.append(cfg)
+            raise ValueError("stopped")
+
+        monkeypatch.setattr(cli, "run_experiment", stop_before_the_sweep)
+        assert main(["experiment", "--full"]) == 1
+        assert seen == [full_config()]
+        assert (seen[0].graph.n_nodes, seen[0].trials) == (200, 100)
+
     def test_empty_csv_flag_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "run_experiment", lambda cfg, jobs=1: pytest.fail("swept"))
@@ -391,3 +406,64 @@ def test_unallocatable_max_iter_is_one_line_error(tmp_path, capsys, command, out
     assert err.count("\n") == 1
     assert err.splitlines()[-1].startswith("error: Unable to allocate")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_csv_without_out_goes_to_stdout(tmp_path, capsys, command):
+    argv = [command, "--config", str(small_config(tmp_path, admm={"c": [0.2], "max_iter": 30})),
+            "--cell", "0.2,0.001"]
+    out = tmp_path / "cell.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("ascii") == out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize("cell", ["0.1", "0.1,x"])
+def test_malformed_cell_is_one_line_error(tmp_path, monkeypatch, capsys, command, cell):
+    monkeypatch.setattr(cli, "trial_instance", lambda *args: pytest.fail("computed"))
+    assert main([command, "--config", str(small_config(tmp_path)), "--cell", cell]) == 1
+    assert capsys.readouterr() == ("", f"error: --cell must be `c,sigma_e`, got {cell!r}\n")
+
+
+class TestZeroStrongConvexity:
+    """An instance whose node 0 has an all-zero design, so m_f = 0."""
+
+    @pytest.fixture(autouse=True)
+    def zero_first_design(self, monkeypatch):
+        real = experiment.trial_instance
+
+        def trial_instance(cfg, trial):
+            g, obj = real(cfg, trial)
+            designs = obj.designs.copy()
+            designs[0] = 0.0
+            flat = ObjectiveSet.from_data(designs, obj.observations)
+            assert flat.m_f == 0.0
+            return g, flat
+
+        monkeypatch.setattr(cli, "trial_instance", trial_instance)
+        monkeypatch.setattr(experiment, "trial_instance", trial_instance)
+
+    @pytest.mark.parametrize("command, err", [
+        (["theory"], "error: instance has m_f = 0 at c=0.2; no certificate exists "
+                     "(try design_kind=well_conditioned)\n"),
+        (["audit", "--cell", "0.2,0.001"], "error: instance has m_f = 0; no certificate "
+                                           "to audit (try design_kind=well_conditioned)\n"),
+    ], ids=["theory", "audit"])
+    def test_certificate_commands_fail(self, tmp_path, capsys, command, err):
+        out = tmp_path / "audit.csv"
+        argv = command + ["--config", str(small_config(tmp_path))]
+        if command[0] == "audit":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", err)
+        assert not out.exists()
+
+    def test_experiment_notes_it_and_sweeps(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, admm={"c": [0.2], "max_iter": 30})
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        err = capsys.readouterr().err
+        assert err == ("preflight c=0.2 sigma_e=0.001: m_f = 0 "
+                       "(no certificate for this instance)\n")
+        assert (tmp_path / "sweep.csv").read_text().startswith("c,sigma_e,k,mean_edc,std_edc\n")

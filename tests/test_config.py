@@ -122,6 +122,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             load_config(write(tmp_path, doc))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"graph": {"rho": 0.0}}, "graph.rho must lie in (0, 1]"),
+        ({"graph": {"rho": 1.5}}, "graph.rho must lie in (0, 1]"),
+        ({"problem": {"dim": 0}}, "problem.dim must be >= 1"),
+        ({"problem": {"obs_noise_var": -1.0}}, "problem.obs_noise_var must be nonnegative"),
+        ({"problem": {"design_kind": "banded"}},
+         "problem.design_kind must be one of ('gaussian', 'well_conditioned')"),
+        ({"admm": {"max_iter": 0}}, "admm.max_iter must be >= 1"),
+        ({"noise": {"delta": -1.0}}, "noise.delta must be nonnegative"),
+    ], ids=["rho-0", "rho-1.5", "dim-0", "obs_noise_var", "design_kind", "max_iter",
+            "delta"])
+    def test_rejects_out_of_range_values(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, doc))
+        assert str(err.value) == message
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self, tmp_path):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from ncadmm import noise
 from ncadmm.analysis import derive_ez_block
 from ncadmm.noise import (NoiseModel, RandomStream, fold_key, fold_lanes,
-                          keyed_normals, keyed_uniforms, lane_states,
-                          polar_normals, sample_error_block, uniforms)
+                          lane_states, polar_normals, sample_error_block,
+                          uniforms)
 from ncadmm.noise import _NOISE_DOMAIN
 from ncadmm.topology import Graph, build_arc_matrices, gen_connected_graph
 
@@ -96,10 +96,10 @@ class TestKeyedRng:
         block = uniforms(states, 5)
         assert block.shape == (6, 5)
         for i, row in enumerate(block):
-            assert np.array_equal(row, keyed_uniforms(9, (4, i), 5))
+            assert np.array_equal(row, uniforms(fold_key(9, (4, i)), 5))
 
     def test_uniforms_in_unit_interval(self):
-        u = keyed_uniforms(7, (1, 2), 10_000)
+        u = uniforms(fold_key(7, (1, 2)), 10_000)
         assert u.min() >= 0.0 and u.max() < 1.0
 
     def test_polar_normals_scalar_vs_lanes(self):
@@ -336,8 +336,8 @@ class TestDeriveEz:
     def test_linearity(self):
         g = gen_connected_graph(8, rho=0.5, seed=3)
         am = build_arc_matrices(g)
-        u = keyed_normals(1, (0,), 16).reshape(8, 2)
-        v = keyed_normals(1, (1,), 16).reshape(8, 2)
+        u = polar_normals(fold_key(1, (0,)), 16).reshape(8, 2)
+        v = polar_normals(fold_key(1, (1,)), 16).reshape(8, 2)
         lhs = derive_ez_block(2.0 * u - 3.0 * v, am)
         rhs = 2.0 * derive_ez_block(u, am) - 3.0 * derive_ez_block(v, am)
         assert np.allclose(lhs, rhs, atol=1e-14)
@@ -347,14 +347,14 @@ class TestDeriveEz:
         am = build_arc_matrices(g)
         sigma_max = np.linalg.svd(am.m_plus, compute_uv=False).max()
         for i in range(20):
-            e_x = keyed_normals(2, (i,), 20).reshape(10, 2)
+            e_x = polar_normals(fold_key(2, (i,)), 20).reshape(10, 2)
             e_z = derive_ez_block(e_x, am)
             assert np.linalg.norm(e_z) <= 0.5 * sigma_max * np.linalg.norm(e_x) + 1e-12
 
     def test_block_version_matches(self):
         g = gen_connected_graph(6, rho=0.5, seed=2)
         am = build_arc_matrices(g)
-        blocks = keyed_normals(3, (9,), 6 * 2 * 4).reshape(4, 6, 2)
+        blocks = polar_normals(fold_key(3, (9,)), 6 * 2 * 4).reshape(4, 6, 2)
         stacked = derive_ez_block(blocks, am)
         for k in range(4):
             assert np.allclose(stacked[k], derive_ez_block(blocks[k], am), atol=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncadmm.noise import keyed_normals, keyed_uniforms
+from ncadmm.noise import fold_key, polar_normals, uniforms
 from ncadmm.objective import (_PROBLEM_DOMAIN, _TAG_DESIGN, _TAG_OBS_NOISE,
                               _TAG_SINGULAR, _TAG_TRUE_X, ObjectiveSet,
                               make_problem)
@@ -9,7 +9,7 @@ from ncadmm.objective import (_PROBLEM_DOMAIN, _TAG_DESIGN, _TAG_OBS_NOISE,
 
 def problem_normals(seed, tags, count):
     """Normals on the problem-generation domain, as ``make_problem`` draws them."""
-    return keyed_normals(seed, (_PROBLEM_DOMAIN, *tags), count)
+    return polar_normals(fold_key(seed, (_PROBLEM_DOMAIN, *tags)), count)
 
 
 def one_node(design, obs):
@@ -33,7 +33,7 @@ def per_node_problem(n_nodes, dim, obs_noise_var, design_kind, seed):
     """The generator drawing one node at a time, each from its own scalar
     substream (seed, problem-domain, tag, i); ``make_problem`` must give
     the same bits."""
-    true_x = keyed_normals(seed, (_PROBLEM_DOMAIN, _TAG_TRUE_X), dim)
+    true_x = polar_normals(fold_key(seed, (_PROBLEM_DOMAIN, _TAG_TRUE_X)), dim)
     sigma_obs = float(np.sqrt(obs_noise_var))
     designs, observations, grams, rhs, lo, hi = [], [], [], [], [], []
     for i in range(n_nodes):
@@ -41,7 +41,7 @@ def per_node_problem(n_nodes, dim, obs_noise_var, design_kind, seed):
         if design_kind == "well_conditioned":
             q, r = np.linalg.qr(m)
             q = q * np.sign(np.diag(r))
-            s = 1.0 + keyed_uniforms(seed, (_PROBLEM_DOMAIN, _TAG_SINGULAR, i), dim)
+            s = 1.0 + uniforms(fold_key(seed, (_PROBLEM_DOMAIN, _TAG_SINGULAR, i)), dim)
             m = q @ np.diag(s)
         y = m @ true_x + sigma_obs * problem_normals(seed, (_TAG_OBS_NOISE, i), dim)
         gram = m.T @ m
@@ -166,6 +166,15 @@ class TestMakeProblem:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="design kind"):
             make_problem(3, 2, 0.0, "sparse", seed=1)
+
+    @pytest.mark.parametrize("n_nodes, dim, obs_noise_var, message", [
+        (0, 2, 0.0, "n_nodes and dim must be positive"),
+        (3, 0, 0.0, "n_nodes and dim must be positive"),
+        (3, 2, -1.0, "obs_noise_var must be nonnegative"),
+    ])
+    def test_rejects_bad_sizes(self, n_nodes, dim, obs_noise_var, message):
+        with pytest.raises(ValueError, match=message):
+            make_problem(n_nodes, dim, obs_noise_var, "gaussian", seed=1)
 
     @pytest.mark.parametrize("design_kind", ["gaussian", "well_conditioned"])
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncadmm import topology
-from ncadmm.noise import keyed_normals, keyed_uniforms
+from ncadmm.noise import fold_key, polar_normals, uniforms
 from ncadmm.topology import (DEFAULT_MAX_RETRIES, Graph,
                              GraphConnectivityError, build_arc_matrices,
                              gen_connected_graph, read_edge_list,
@@ -16,7 +16,7 @@ def all_pairs_sampler(n_nodes, rho, seed):
     m = len(all_edges)
     n_edges = int(np.floor(rho * m + 0.5))
     for attempt in range(DEFAULT_MAX_RETRIES):
-        u = keyed_uniforms(seed, (topology._GRAPH_DOMAIN, attempt), n_edges)
+        u = uniforms(fold_key(seed, (topology._GRAPH_DOMAIN, attempt)), n_edges)
         idx = list(range(m))
         for t in range(n_edges):
             r = t + int(u[t] * (m - t))
@@ -168,7 +168,7 @@ class TestGraph:
                     del edges[k]
                 lists.append((n_nodes, [tuple(e) for e in edges]))
         for n_nodes, rows, seed in ((12, 16, 0), (30, 55, 1), (60, 130, 2)):
-            u = keyed_uniforms(seed, (9,), 2 * rows)
+            u = uniforms(fold_key(seed, (9,)), 2 * rows)
             pairs = zip((u[:rows] * n_nodes).astype(int).tolist(),
                         (u[rows:] * n_nodes).astype(int).tolist())
             lists.append((n_nodes, sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})))
@@ -221,7 +221,7 @@ class TestIsConnected:
         # the sampler's own draws, rejected ones included
         for n_nodes, n_edges, seed in ((12, 16, 0), (30, 55, 1), (60, 130, 2), (200, 560, 3)):
             for attempt in range(10):
-                u = keyed_uniforms(seed, (7, attempt), 2 * n_edges)
+                u = uniforms(fold_key(seed, (7, attempt)), 2 * n_edges)
                 i = (u[:n_edges] * n_nodes).astype(int)
                 j = (u[n_edges:] * n_nodes).astype(int)
                 cases.append((n_nodes, [(a, b) for a, b in zip(i, j) if a != b]))
@@ -355,8 +355,8 @@ class TestArcMatrices:
     def check_batched_operators(g):
         am = build_arc_matrices(g)
         n_nodes = g.n_nodes
-        x = keyed_normals(4, (0,), 5 * n_nodes * 3).reshape(5, n_nodes, 3)
-        z = keyed_normals(4, (1,), 5 * g.n_arcs * 3).reshape(5, g.n_arcs, 3)
+        x = polar_normals(fold_key(4, (0,)), 5 * n_nodes * 3).reshape(5, n_nodes, 3)
+        z = polar_normals(fold_key(4, (1,)), 5 * g.n_arcs * 3).reshape(5, g.n_arcs, 3)
         for apply_t, dense in ((am.apply_mplus_t, am.m_plus), (am.apply_mminus_t, am.m_minus)):
             out = apply_t(x)
             assert np.array_equal(out, np.matmul(dense.T, x))
@@ -408,6 +408,13 @@ class TestArcMatrices:
 
 
 class TestSpectralSummary:
+    def test_hand_built_arc_set_without_arcs_rejected(self):
+        # a Graph always has an edge; an ArcMatrices built by hand need not
+        no_arcs = np.empty(0, dtype=np.intp)
+        am = topology.ArcMatrices(n_nodes=3, tail=no_arcs, head=no_arcs)
+        with pytest.raises(ValueError, match="no nonzero singular value"):
+            spectral_summary(am)
+
     def test_path3_values(self):
         s = spectral_summary(build_arc_matrices(path3()))
         assert s.sigma_max_mplus == pytest.approx(np.sqrt(6.0), rel=1e-12)
@@ -469,6 +476,10 @@ class TestEdgeListSerialization:
         ("3 2\n0 1\n1 7\n", r"edge \(1, 7\) is not canonical"),
         ("3 2\n0 1\n1 x\n", "invalid literal"),
         ("3 0\n", "graph is not connected"),
+        ("3\n", "bad.edges: missing header"),
+        ("3 -1\n", r"bad.edges: header must be two nonnegative integers `N E`, got '3 -1'$"),
+        ("x 2\n0 1\n1 2\n",
+         r"bad.edges: header must be two nonnegative integers `N E`, got 'x 2'$"),
     ])
     def test_bad_indices_rejected(self, tmp_path, text, message):
         path = tmp_path / "bad.edges"
