@@ -170,8 +170,8 @@ class ContractionAudit:
     error gate ||e_z^k|| <= ||x^{k+1} - x*||, and ``x_bound_slack[k]`` the
     margin of the primal bound
     x_bound_coeff * gnorm_k - ||x^{k+1} - x*||^2 (only meaningful where
-    checked).  Violations list the iterations where a checked inequality
-    failed beyond the additive tolerance.
+    checked).  The two ``*_violated`` masks flag the iterations where a
+    checked inequality failed beyond the additive tolerance.
     """
 
     ratios: np.ndarray
@@ -179,10 +179,9 @@ class ContractionAudit:
     skipped: np.ndarray
     checked: np.ndarray
     x_bound_slack: np.ndarray
-    contraction_violations: list[int]
-    x_bound_violations: list[int]
+    contraction_violated: np.ndarray
+    x_bound_violated: np.ndarray
     bound: float
-    conditions_hold: bool
 
 
 def _blocks(traj: Trajectory, n_rows: int):
@@ -274,27 +273,22 @@ def audit_contraction(traj: Trajectory, ref: ReferencePoint, report: TheoryRepor
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(skipped, np.nan, gnorm[1:] / gnorm[:-1])
 
-    conditions = report.conditions_hold
-    checked = gates & conditions
+    checked = gates & report.conditions_hold
     bound = report.contraction_factor
 
-    contraction_violations = np.flatnonzero(
-        checked & ~skipped & (ratios > bound + _AUDIT_TOL)).tolist()
     # an infinite primal-bound coefficient (squared condition violated)
     # yields inf/nan slack entries; they are never checked
     with np.errstate(invalid="ignore", over="ignore"):
         x_bound_slack = report.x_bound_coeff * gnorm[:-1] - xerr[1:] ** 2
-    x_bound_violations = np.flatnonzero(checked & (x_bound_slack < -_AUDIT_TOL)).tolist()
     return ContractionAudit(
         ratios=ratios,
         gates=gates,
         skipped=skipped,
         checked=checked,
         x_bound_slack=x_bound_slack,
-        contraction_violations=contraction_violations,
-        x_bound_violations=x_bound_violations,
+        contraction_violated=checked & ~skipped & (ratios > bound + _AUDIT_TOL),
+        x_bound_violated=checked & (x_bound_slack < -_AUDIT_TOL),
         bound=bound,
-        conditions_hold=conditions,
     )
 
 

@@ -71,18 +71,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("theory", "run", "experiment", "audit"):
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON experiment config (defaults to the desk profile)")
+        source = p.add_mutually_exclusive_group() if name == "experiment" else p
+        source.add_argument("--config",
+                            help="JSON experiment config (defaults to the desk profile)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--trials", type=int, help="override the trial count")
-        p.add_argument("--max-iter", type=int, help="override admm.max_iter")
-        p.add_argument("--model", help="override the noise model kind")
+        if name != "theory":  # theory evaluates trial 0's certificate, not a run
+            p.add_argument("--max-iter", type=int, help="override admm.max_iter")
+            p.add_argument("--model", help="override the noise model kind")
         if name in ("run", "audit"):
             p.add_argument("--cell", required=True,
                            help="sweep cell as `c,sigma_e` (must match config values)")
             p.add_argument("--out", help="output CSV path (default: stdout)")
         if name == "experiment":
-            p.add_argument("--full", action="store_true",
-                           help="use the large profile (200 nodes, 100 trials)")
+            source.add_argument("--full", action="store_true",
+                                help="use the large profile (200 nodes, 100 trials)")
+            p.add_argument("--trials", type=int, help="override the trial count")
             p.add_argument("--jobs", type=int,
                            help="concurrent trials (env NCADMM_JOBS as fallback)")
             p.add_argument("--csv", help="override output.csv_path")
@@ -91,23 +94,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args) -> ExperimentConfig:
+    flags = vars(args)  # holds only the flags the command defines
     if args.config is not None:
         cfg = load_config(args.config)
-    elif getattr(args, "full", False):
-        cfg = full_config()
     else:
-        cfg = default_config()
+        cfg = full_config() if flags.get("full") else default_config()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
+    if flags.get("trials") is not None:
         cfg = replace(cfg, trials=args.trials)
-    if args.max_iter is not None:
+    if flags.get("max_iter") is not None:
         cfg = replace(cfg, admm=replace(cfg.admm, max_iter=args.max_iter))
-    if args.model is not None:
+    if flags.get("model") is not None:
         cfg = replace(cfg, noise=replace(cfg.noise, model=args.model))
-    if getattr(args, "csv", None) is not None:
+    if flags.get("csv") is not None:
         cfg = replace(cfg, output=replace(cfg.output, csv_path=args.csv))
-    if getattr(args, "svg", None) is not None:
+    if flags.get("svg") is not None:
         cfg = replace(cfg, output=replace(cfg.output, svg_path=args.svg))
     cfg.validate()
     return cfg
@@ -138,22 +140,24 @@ def _note_placement(cfg: ExperimentConfig) -> None:
               "where the message error also enters the dual update", file=sys.stderr)
 
 
-def _cell_trajectory(args):
-    """Config, trial 0 of the ``--cell`` cell (full record) and its reference point.
-
-    The config, the cell and the output path are checked before any compute.
-    """
+def _cell_instance(args):
+    """Config, ``--cell`` index and trial 0's instance; all input is checked first."""
     cfg = _load_with_overrides(args)
     cell_idx = _parse_cell(cfg, args.cell)
     _check_out_paths(args.out)
     g, obj = trial_instance(cfg, 0)
+    return cfg, cell_idx, g, obj
+
+
+def _cell_run(cfg, cell_idx, g, obj):
+    """Trial 0's trajectory of the cell (full record), its reference point and (c, sigma_e)."""
     c, sigma_e = cfg.cells()[cell_idx]
     traj = run_decentralized(
         g, obj, c, cfg.noise_model(sigma_e), cfg.noise.placement_mode,
         cfg.admm.max_iter, RandomStream(seed=cfg.seed, trial=0, cell=cell_idx),
         record="full",
     )
-    return cfg, g, obj, traj, reference_point(g, obj), c, sigma_e
+    return traj, reference_point(g, obj), c, sigma_e
 
 
 def _write_lines(lines, out_path) -> None:
@@ -189,7 +193,8 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg, g, obj, traj, ref, c, sigma_e = _cell_trajectory(args)
+    cfg, cell_idx, g, obj = _cell_instance(args)
+    traj, ref, c, sigma_e = _cell_run(cfg, cell_idx, g, obj)
     # overflow (a huge sigma_e, say) is reported once, by require_finite
     with np.errstate(over="ignore", invalid="ignore"):
         gnorm = gnorm_series(traj, ref)
@@ -208,10 +213,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    cfg, g, obj, traj, ref, c, sigma_e = _cell_trajectory(args)
+    cfg, cell_idx, g, obj = _cell_instance(args)
     if obj.m_f <= 0.0:
         raise ConfigError("instance has m_f = 0; no certificate to audit "
                           "(try design_kind=well_conditioned)")
+    traj, ref, c, sigma_e = _cell_run(cfg, cell_idx, g, obj)
     spec = spectral_summary(build_arc_matrices(g))
     mu_star, delta_star = optimize_delta(spec, obj.m_f, obj.M_f, c)
     report = theory_constants(spec, obj.m_f, obj.M_f, c, mu_star, sigma_e=sigma_e)
@@ -221,8 +227,7 @@ def _cmd_audit(args) -> int:
     require_finite(np.where(audit.skipped, 0.0, audit.ratios),
                    f"gnorm_ratio at c={c:g} sigma_e={sigma_e:g}")
     lines = ["k,gnorm_ratio,gate_satisfied,skipped,checked,x_bound_slack,violation"]
-    violation = np.zeros(traj.n_iter, dtype=bool)
-    violation[audit.contraction_violations + audit.x_bound_violations] = True
+    violation = audit.contraction_violated | audit.x_bound_violated
     ratios = format_sci_column(np.where(audit.skipped, 0.0, audit.ratios))
     has_slack = np.isfinite(audit.x_bound_slack)
     slacks = format_sci_column(np.where(has_slack, audit.x_bound_slack, 0.0))
@@ -235,8 +240,8 @@ def _cmd_audit(args) -> int:
     _write_lines(lines, args.out)
     print(f"delta_star={delta_star:.12g} at mu={mu_star:.6g}; "
           f"bound={audit.bound:.12g}; "
-          f"violations: contraction={len(audit.contraction_violations)} "
-          f"x_bound={len(audit.x_bound_violations)}", file=sys.stderr)
+          f"violations: contraction={audit.contraction_violated.sum()} "
+          f"x_bound={audit.x_bound_violated.sum()}", file=sys.stderr)
     _note_placement(cfg)
     return 0
 

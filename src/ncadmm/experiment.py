@@ -121,13 +121,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, quiet: bool = False) ->
     record = np.empty((cfg.trials, len(cfg.cells()), cfg.admm.max_iter + 1))
     if not quiet:
         for (c, sigma_e), report in zip(cfg.cells(), preflight_reports(cfg)):
-            if report is None:
-                print(f"preflight c={c:g} sigma_e={sigma_e:g}: "
-                      "m_f = 0 (no certificate for this instance)", file=sys.stderr)
-                continue
-            print(f"preflight c={c:g} sigma_e={sigma_e:g}: "
-                  + json.dumps(report.to_json_dict()))
-            if not report.conditions_hold:
+            body = ("m_f = 0 (no certificate for this instance)" if report is None
+                    else json.dumps(report.to_json_dict()))
+            print(f"preflight c={c:g} sigma_e={sigma_e:g}: {body}", file=sys.stderr)
+            if report is not None and not report.conditions_hold:
                 print(f"warning: certificate conditions violated for "
                       f"c={c:g} sigma_e={sigma_e:g} "
                       f"(cond_squared={report.cond_squared}, "

@@ -19,7 +19,7 @@ def small_setup(seed=0, n_nodes=8, rho=0.4, design="well_conditioned"):
 
 
 def per_step_arc_states(traj):
-    """(z^k, beta^k) one iteration at a time, gathered by fancy indexing."""
+    """(z^k, beta^k) for k = 0..K, one iteration at a time, gathered by fancy indexing."""
     am = build_arc_matrices(traj.graph)
     beta = traj.beta0
     for k, x in enumerate(traj.xs):
@@ -43,6 +43,14 @@ class TestReferencePoint:
         assert np.linalg.norm(grad + am.apply_mminus(ref.beta_star)) < 1e-8
         assert np.linalg.norm(am.apply_mminus_t(ref.x_star)) == 0.0
         assert np.array_equal(0.5 * am.apply_mplus_t(ref.x_star), ref.z_star)
+
+    def test_off_optimum_point_fails_stationarity(self, monkeypatch):
+        # no dual solves M- beta = -grad f away from the centralized solution
+        g, obj = small_setup(3)
+        real = ObjectiveSet.centralized_solution
+        monkeypatch.setattr(ObjectiveSet, "centralized_solution", lambda self: real(self) + 1.0)
+        with pytest.raises(ValueError, match="stationarity residual .* exceeds tolerance"):
+            reference_point(g, obj)
 
     def test_z_star_is_consensus_on_every_arc(self):
         g, obj = small_setup(2)

@@ -211,8 +211,8 @@ class TestAuditContraction:
         traj = run_decentralized(g, obj, c, NoiseModel.none(), ANALYSIS_FAITHFUL,
                                  300, RandomStream(seed=1))
         audit = audit_contraction(traj, ref, report)
-        assert audit.conditions_hold
-        assert audit.contraction_violations + audit.x_bound_violations == []
+        assert report.conditions_hold
+        assert not (audit.contraction_violated | audit.x_bound_violated).any()
         assert np.all(audit.gates)  # zero error always passes the gate
 
     def test_reference_point_run_is_skipped(self):
@@ -224,7 +224,7 @@ class TestAuditContraction:
                                x0=ref.x_star, beta0=ref.beta_star)
         audit = audit_contraction(traj, ref, report)
         assert np.all(audit.skipped)
-        assert audit.contraction_violations + audit.x_bound_violations == []
+        assert not (audit.contraction_violated | audit.x_bound_violated).any()
 
     def test_gate_eventually_alternates_under_fixed_norm_noise(self):
         g, obj, spec, c = certified_setup(2)
@@ -234,7 +234,7 @@ class TestAuditContraction:
         traj = run_decentralized(g, obj, c, NoiseModel.fixed_norm(1e-3),
                                  ANALYSIS_FAITHFUL, 400, RandomStream(seed=3))
         audit = audit_contraction(traj, ref, report)
-        assert audit.contraction_violations + audit.x_bound_violations == []
+        assert not (audit.contraction_violated | audit.x_bound_violated).any()
         assert audit.gates[:20].all()      # far from the floor: gated
         assert (~audit.gates).any()        # at the floor the gate switches off
 
@@ -247,6 +247,17 @@ class TestAuditContraction:
         audit = audit_contraction(traj, ref, report)
         assert audit.ratios.shape == (40,)
         assert audit.gates.shape == (40,)
+        for mask in (audit.contraction_violated, audit.x_bound_violated):
+            assert mask.shape == (40,) and mask.dtype == bool
+
+    def test_reference_point_of_another_graph_rejected(self):
+        g, obj, spec, c = certified_setup(5)
+        report = theory_constants(spec, obj.m_f, obj.M_f, c, 2.0)
+        traj = run_decentralized(g, obj, c, NoiseModel.none(), ANALYSIS_FAITHFUL,
+                                 10, RandomStream(seed=6))
+        other = certified_setup(5, n_nodes=10)
+        with pytest.raises(ValueError, match="mismatched shapes"):
+            audit_contraction(traj, reference_point(*other[:2]), report)
 
     def test_unchecked_when_conditions_fail(self):
         g, obj, spec, _ = certified_setup(4)
@@ -258,7 +269,7 @@ class TestAuditContraction:
                                  ANALYSIS_FAITHFUL, 50, RandomStream(seed=5))
         audit = audit_contraction(traj, ref, report)
         assert not audit.checked.any()
-        assert audit.contraction_violations + audit.x_bound_violations == []
+        assert not (audit.contraction_violated | audit.x_bound_violated).any()
 
 
 class TestSteadyState:

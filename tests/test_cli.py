@@ -1,5 +1,9 @@
+import argparse
 import json
+import re
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,72 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# every flag each subcommand accepts; each one changes what the command reads
+FLAGS = {
+    "gen-graph": {"--nodes", "--rho", "--seed", "--out"},
+    "theory": {"--config", "--seed"},
+    "run": {"--config", "--seed", "--max-iter", "--model", "--cell", "--out"},
+    "experiment": {"--config", "--full", "--seed", "--trials", "--max-iter", "--model",
+                   "--jobs", "--csv", "--svg"},
+    "audit": {"--config", "--seed", "--max-iter", "--model", "--cell", "--out"},
+}
+
+
+class TestFlagSets:
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        parser = cli._build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        flags = {name: {opt for action in p._actions for opt in action.option_strings}
+                 - {"-h", "--help"} for name, p in sub.choices.items()}
+        assert flags == FLAGS
+        assert sum(map(len, flags.values())) == 27
+
+    def test_readme_names_each_flag_under_its_command(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("\n## CLI\n")[1].split("\n## ")[0]
+        rows = {}
+        for line in section.splitlines():
+            match = re.match(r"\| `([a-z-]+)` \|(.*)\|$", line)
+            if match:
+                rows[match.group(1)] = set(re.findall(r"`(--[a-z-]+)`", match.group(2)))
+        assert rows == FLAGS
+
+    @pytest.mark.parametrize("argv, err", [
+        (["theory", "--trials", "2"], "unrecognized arguments: --trials 2"),
+        (["theory", "--max-iter", "5"], "unrecognized arguments: --max-iter 5"),
+        (["theory", "--model", "none"], "unrecognized arguments: --model none"),
+        (["run", "--cell", "0.2,0.001", "--trials", "2"], "unrecognized arguments: --trials 2"),
+        (["audit", "--cell", "0.2,0.001", "--trials", "2"], "unrecognized arguments: --trials 2"),
+        (["experiment", "--full"], "argument --full: not allowed with argument --config"),
+    ], ids=["theory-trials", "theory-max-iter", "theory-model", "run-trials",
+            "audit-trials", "experiment-full"])
+    def test_flag_the_command_does_not_read_fails_before_any_compute(
+            self, tmp_path, monkeypatch, capsys, argv, err):
+        def computed(*args, **kwargs):
+            pytest.fail("computed")
+
+        for name in ("trial_instance", "run_experiment", "preflight_reports"):
+            monkeypatch.setattr(cli, name, computed)
+        assert main([argv[0], "--config", str(small_config(tmp_path)), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["theory", "--trials", "2"], 1),
+    (["gen-graph", "--nodes", "6", "--rho", "1", "--seed", "1", "--out", "{tmp}/g.edges"], 0),
+], ids=["failure", "success"])
+def test_entrypoint_exits_with_the_command_status(tmp_path, monkeypatch, capsys, argv, code):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    monkeypatch.setattr(sys, "argv", ["ncadmm", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == code
 
 
 class TestGenGraph:
@@ -252,6 +322,22 @@ def test_non_finite_series_fail_cleanly(tmp_path, capsys, command, message):
 
 
 class TestExperiment:
+    def test_stdout_carries_only_the_wrote_lines(self, tmp_path, capsys):
+        # the per-cell preflight JSON is a diagnostic and goes to stderr
+        cfg = small_config(tmp_path, admm={"c": [0.01, 0.02], "max_iter": 30})
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(f"wrote {tmp_path / 'sweep.csv'} (2 cells x 2 trials, ")
+        assert lines[1] == f"wrote {tmp_path / 'sweep.svg'}"
+        cells = []
+        for line in err.splitlines():
+            head, body = line.split(": ", 1)
+            cells.append(head)
+            assert json.loads(body)["cond_squared"] is True
+        assert cells == ["preflight c=0.01 sigma_e=0.001", "preflight c=0.02 sigma_e=0.001"]
+
     def test_end_to_end_writes_csv_and_svg(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         rc = main(["experiment", "--config", str(cfg)])
@@ -400,10 +486,10 @@ def test_unallocatable_max_iter_is_one_line_error(tmp_path, capsys, command, out
     rc = main(command + ["--max-iter", str(10 ** 13), out_flag, str(out)])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.out == ""  # fails before the experiment's preflight prints
+    assert captured.out == ""
     err = captured.err
     assert err.count("error:") == 1
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1  # fails before the experiment's preflight prints
     assert err.splitlines()[-1].startswith("error: Unable to allocate")
     assert not out.exists()
 
@@ -451,7 +537,10 @@ class TestZeroStrongConvexity:
         (["audit", "--cell", "0.2,0.001"], "error: instance has m_f = 0; no certificate "
                                            "to audit (try design_kind=well_conditioned)\n"),
     ], ids=["theory", "audit"])
-    def test_certificate_commands_fail(self, tmp_path, capsys, command, err):
+    def test_certificate_commands_fail(self, tmp_path, monkeypatch, capsys, command, err):
+        # audit refuses the instance before the engine and the reference point run
+        for name in ("run_decentralized", "reference_point"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("computed"))
         out = tmp_path / "audit.csv"
         argv = command + ["--config", str(small_config(tmp_path))]
         if command[0] == "audit":

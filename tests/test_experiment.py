@@ -250,6 +250,20 @@ class TestEmitSvg:
         ys = [float(p.split(",")[1]) for p in points.split()]
         assert all(b >= a for a, b in zip(ys, ys[1:]))  # svg y grows downward
 
+    def test_flat_curves_get_one_decade_axis(self, tmp_path):
+        # constant curves at a power of ten floor and ceil to the same decade
+        vals = np.full((2, 4), 1e-2)
+        res = SweepResult(cells=[(0.1, 1e-3), (1.0, 1e-3)], mean=vals,
+                          std=np.zeros_like(vals), trials=1, wall_time=0.0)
+        path = tmp_path / "flat.svg"
+        emit_svg(res, path)
+        text = path.read_text()
+        assert ">1e-2</text>" in text and ">1e-1</text>" in text
+        assert ">1e0</text>" not in text
+        for part in text.split('<polyline points="')[1:]:
+            ys = {p.split(",")[1] for p in part.split('"')[0].split()}
+            assert ys == {"470.00"}  # the bottom edge of the plot
+
     def test_nonpositive_values_clamped(self, tmp_path):
         vals = np.array([[1.0, 0.0, -1.0]])
         res = SweepResult(cells=[(1.0, 0.0)], mean=vals, std=np.zeros_like(vals),

@@ -142,6 +142,15 @@ class TestObjectiveSet:
             obj.centralized_solution()
 
 
+    def test_ill_conditioned_aggregate_rejected(self):
+        # nearly collinear design columns: the solve succeeds but misses the
+        # pooled normal equations by far more than 1e-10
+        designs = np.array([[[1.0, 1.0]], [[1.0, 1.0 + 1e-7]]])
+        obj = ObjectiveSet.from_data(designs, np.array([[1.0], [0.0]]))
+        with pytest.raises(ValueError, match="too ill-conditioned"):
+            obj.centralized_solution()
+
+
 class TestMakeProblem:
     def test_shapes_and_reproducibility(self):
         obj, x = make_problem(4, 3, 1e-3, "gaussian", seed=5)
