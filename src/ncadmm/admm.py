@@ -41,17 +41,18 @@ perturbed-iterate), so both engines and both modes replay the identical
 realization from the same stream.
 
 Gaussian, fixed-norm and zero error do not depend on x, so the engines
-draw it for a chunk of iterations per :func:`sample_error_block` call
-(about 8192 node-iterations), identical to per-iteration draws; quantizer
-error depends on x and is drawn per message.  ``run_decentralized`` takes
-one step per message, k = 0..K: the message of x^k (none for x^K in
-``analysis_faithful`` mode), then the dual update for k >= 1, then the
-x-update for k < K.  Each message is drawn and summed over neighbors once.
-In ``broadcast`` mode the message x^k + e^k and its sum serve the dual
-update that consumes x^k and the next x-update; in ``analysis_faithful``
-mode one sum over the (2, N, n) stack [x^k, x^k + e^k] gives both, its
-slices equal to the separate sums bit for bit.  A run of K iterations
-therefore takes K + 1 neighbor sums in either mode.
+draw one :func:`row_blocks` block of iterations (about 8192
+node-iterations) per :func:`sample_error_block` call, identical to
+per-iteration draws; quantizer error depends on x and is drawn per
+message.  ``run_decentralized`` takes one step per message, k = 0..K: the
+message of x^k (none for x^K in ``analysis_faithful`` mode), then the dual
+update for k >= 1, then the x-update for k < K.  Both modes run the same
+calls on the (2, N, n) stack [x^k, x^k + e^k]; the mode only picks which
+rows feed the own term and which the neighbor sum: both rows to both in
+``analysis_faithful`` (slices of one sum equal separate sums bit for bit),
+x^k to the own term and x^k + e^k to the sum in ``broadcast``, where that
+sum serves the dual update and the next x-update.  A run of K iterations
+takes K + 1 neighbor sums in either mode.
 
 A :class:`Trajectory` holds only engine state (iterates, per-node duals,
 error blocks and the initial arc dual).  The arc-space quantities derived
@@ -165,25 +166,33 @@ def _solve_operators(g: Graph, obj: ObjectiveSet, c: float) -> np.ndarray:
     return np.linalg.inv(obj.grams + shifts)
 
 
+def row_blocks(n_rows: int, lanes: int):
+    """Slices covering rows 0..n_rows-1 of ``lanes`` lanes, about ``_CHUNK_LANES`` per block.
+
+    The one block rule of the engines' draws and of every pass over a record.
+    """
+    rows = max(1, _CHUNK_LANES // lanes)
+    return (slice(start, min(start + rows, n_rows)) for start in range(0, n_rows, rows))
+
+
 def _error_source(model: NoiseModel, stream: RandomStream, n_nodes: int, n_draws: int):
     """``error(k, x)``: the error block on the messages carrying iterate k.
 
     Quantizer error is drawn from x per request.  Every other kind is drawn
-    ``max(1, _CHUNK_LANES // n_nodes)`` iterations per call, over
-    iterations 0..n_draws-1; requests must come in nondecreasing k.
+    one :func:`row_blocks` block of iterations 0..n_draws-1 per call;
+    requests must come in order k = 0, 1, ...
     """
     if model.kind == "quantizer":
         return lambda k, x: sample_error_block(model, x, stream, k)
-    chunk = max(1, _CHUNK_LANES // n_nodes)
-    start, block = 0, np.empty((0,))
+    blocks = row_blocks(n_draws, n_nodes)
+    rows, block = slice(0, 0), None
 
     def error(k: int, x: np.ndarray) -> np.ndarray:
-        nonlocal start, block
-        if k >= start + block.shape[0]:
-            start = k
-            block = sample_error_block(model, x, stream,
-                                       np.arange(k, min(k + chunk, n_draws)))
-        return block[k - start]
+        nonlocal rows, block
+        if k >= rows.stop:
+            rows = next(blocks)
+            block = sample_error_block(model, x, stream, np.arange(rows.start, rows.stop))
+        return block[k - rows.start]
     return error
 
 
@@ -239,8 +248,9 @@ def run_decentralized(
 
     # Every step works on same-shape (N, n) operands in preallocated
     # buffers: numpy's per-call cost, not arithmetic, sets the speed here.
-    # stack holds [x, x_hat]; w[0] becomes the dual increment
-    # c (|N_i| x_i - sum_j x_j) and w[1] the x-update term
+    # stack holds [x, x_hat]; own and msgs are the rows that feed the own
+    # term and the neighbor sum.  w[0] becomes the dual increment
+    # c (|N_i| x_i - sum_j msg_j) and w[1] the x-update term
     # c (|N_i| own_i + sum_j x_hat_j), each rounded as the one-line formula.
     deg2 = np.broadcast_to(g.degrees.astype(float)[:, None], (2, n_nodes, dim)).copy()
     stack = np.empty((2, n_nodes, dim))
@@ -250,24 +260,17 @@ def run_decentralized(
     # one step per message of x^k, k = 0..K; broadcast also perturbs the
     # message of the final iterate, analysis_faithful sends none for it
     faithful = mode == ANALYSIS_FAITHFUL
+    own, msgs = (stack, stack) if faithful else (stack[:1], stack[1:])
     n_draws = max_iter if faithful else max_iter + 1
     error = _error_source(model, stream, n_nodes, n_draws)
     for k in range(max_iter + 1):
         e_k = error(k, x) if k < n_draws else 0.0
+        stack[0] = x
         np.add(x, e_k, out=stack[1])
-        if faithful:
-            # x^k and its message x^k + e^k, summed in one call
-            stack[0] = x
-            nb = am.neighbor_sum(stack)
-            np.multiply(deg2, stack, out=w)
-            w[0] -= nb[0]
-            w[1] += nb[1]
-        else:
-            # one product d x^k: minus the sum for the dual, plus it for the x-update
-            nb_hat = am.neighbor_sum(stack[1])
-            np.multiply(deg2[0], x, out=w[0])
-            np.add(w[0], nb_hat, out=w[1])
-            w[0] -= nb_hat
+        nb = am.neighbor_sum(msgs)
+        np.multiply(deg2, own, out=w)
+        w[0] -= nb[0]
+        w[1] += nb[-1]
         w *= c
         if k:
             alpha += w[0]

@@ -29,9 +29,9 @@ stored: the arc variables
 feed the squared G-norm c ||z^k - z*||^2 + ||beta^k - beta*||^2 / c
 (:func:`gnorm_series`), and the arc-space error e_z^k = 0.5 * Mplus.T e_x^k
 (:func:`derive_ez_block`) feeds the gate (:func:`error_gates`).  Both
-series walk the record in blocks of iterations, about
-``admm._CHUNK_LANES`` arc rows each, with one arc-operator call per
-block, so no (K+1, 2E, n) array is built.
+series walk the record in the engine's blocks of iterations
+(:func:`ncadmm.admm.row_blocks` over the arcs), with one arc-operator call
+per block, so no (K+1, 2E, n) array is built.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .admm import _CHUNK_LANES, ReferencePoint, Trajectory, x_err_series
+from .admm import ReferencePoint, Trajectory, row_blocks, x_err_series
 from .noise import sum_last_axis
 from .topology import Graph, SpectralSummary, build_arc_matrices
 
@@ -184,18 +184,13 @@ class ContractionAudit:
     bound: float
 
 
-def _blocks(traj: Trajectory, n_rows: int):
-    """Slices covering rows 0..n_rows-1, about ``_CHUNK_LANES`` arcs' worth each."""
-    rows = max(1, _CHUNK_LANES // traj.graph.n_arcs)
-    return (slice(start, min(start + rows, n_rows)) for start in range(0, n_rows, rows))
-
-
 def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
     """The squared weighted primal-dual error at every iteration k = 0..K.
 
-    Each block of :func:`_blocks` takes one gather of x[tail] and x[head],
+    Each :func:`row_blocks` block takes one gather of x[tail] and x[head],
     which gives z and the beta increments; beta accumulates row by row in
-    iteration order, so every row equals the one-step formula bit for bit.
+    iteration order (``np.cumsum`` is 8x slower on the audit's 5-row
+    blocks), so every row equals the one-step formula bit for bit.
     Each iteration's squares are summed over its flattened (2E * n) arc
     entries, as for one array.  Needs a full record.
     """
@@ -204,7 +199,7 @@ def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
     half_c = 0.5 * traj.c
     out = np.empty(len(traj))
     beta = traj.beta0  # beta^{k-1} of the next block's first row
-    for rows in _blocks(traj, len(traj)):
+    for rows in row_blocks(len(traj), traj.graph.n_arcs):
         x_tail, x_head = am.arc_ends(traj.xs[rows])
         dz = x_tail + x_head
         dz *= 0.5
@@ -240,13 +235,13 @@ def error_gates(traj: Trajectory, xerr: np.ndarray) -> np.ndarray:
     """The error gate ||e_z^k|| <= ||x^{k+1} - x*|| at every step k, shape (K,).
 
     ``xerr`` is :func:`x_err_series` of the same run.  e_z^k is the exact
-    arc-space error derived from the recorded noise realization, one block
-    of :func:`_blocks` at a time, so the trajectory needs a full record.
+    arc-space error derived from the recorded noise realization, one
+    :func:`row_blocks` block at a time, so the trajectory needs a full record.
     """
     traj.require_full()
     am = build_arc_matrices(traj.graph)
     gates = np.empty(traj.n_iter, dtype=bool)
-    for rows in _blocks(traj, traj.n_iter):
+    for rows in row_blocks(traj.n_iter, traj.graph.n_arcs):
         e_z = derive_ez_block(traj.e_xs[rows], am)
         e_z *= e_z
         norms = np.sqrt(e_z.reshape(len(e_z), -1).sum(axis=1))

@@ -49,7 +49,7 @@ class AdmmConfig:
 class NoiseConfig:
     model: str = "gaussian"
     sigma_e: tuple[float, ...] = (1e-3, 1e-2)
-    delta: float = 0.0
+    delta: float = 1e-3
     placement_mode: str = "analysis_faithful"
 
 

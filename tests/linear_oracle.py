@@ -1,0 +1,87 @@
+"""An exact affine oracle for the consensus iteration, independent of both engines.
+
+With quadratic local objectives and an error realization given in advance,
+one iteration is an affine map of the stacked node state (x, alpha).  With
+H = blockdiag(gram_i + 2c d_i I), Q = (D + Adj) (x) I and
+L = (D - Adj) (x) I, both lifted node-major:
+
+``analysis_faithful``
+    x+ = H^-1 (b - alpha + c Q (x + e_k)),  alpha+ = alpha + c L x+
+
+``broadcast``
+    x+ = H^-1 (b - alpha + c (D x + Adj (x + e_k))),
+    alpha+ = alpha + c (D x+ - Adj (x+ + e_{k+1}))
+
+The operators are built from ``obj.grams``, ``obj.rhs`` and ``g.edges``
+only, densely, and nothing is imported from ``ncadmm.admm``, so a match
+checks either engine against the algebra rather than against the other
+engine.  Dense side 2Nn keeps this to small graphs (N <= 50 at n = 3).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def operators(g, obj, c: float):
+    """(H, D, Adj, b): the node-major (Nn, Nn) operators and the stacked rhs."""
+    n_nodes, dim = obj.rhs.shape
+    adj = np.zeros((n_nodes, n_nodes))
+    i, j = np.asarray(g.edges).T
+    adj[i, j] = adj[j, i] = 1.0
+    eye = np.eye(dim)
+    deg = np.kron(np.diag(adj.sum(axis=1)), eye)
+    blocks = np.einsum("ij,iab->iajb", np.eye(n_nodes), obj.grams)
+    h = blocks.reshape(n_nodes * dim, n_nodes * dim) + 2.0 * c * deg
+    return h, deg, np.kron(adj, eye), obj.rhs.reshape(-1)
+
+
+def replay(g, obj, c: float, mode: str, errors: np.ndarray):
+    """(xs, alphas), each (K+1, N, n), of the recursion driven by ``errors``.
+
+    Starts from x = alpha = 0.  ``errors[k]`` is the (N, n) error on the
+    messages carrying iterate k: K rows drive K analysis_faithful steps;
+    broadcast's alpha^K consumes e^K as well, so it takes K+1 rows.  Any
+    ``mode`` other than "analysis_faithful" is read as broadcast.
+    """
+    h, deg, adj, b = operators(g, obj, c)
+    h_inv, q, lap = np.linalg.inv(h), deg + adj, deg - adj
+    faithful = mode == "analysis_faithful"
+    n_iter = len(errors) if faithful else len(errors) - 1
+    e = errors.reshape(len(errors), -1)
+    x, alpha = np.zeros_like(b), np.zeros_like(b)
+    xs, alphas = [x], [alpha]
+    for k in range(n_iter):
+        if faithful:
+            x = h_inv @ (b - alpha + c * (q @ (x + e[k])))
+            alpha = alpha + c * (lap @ x)
+        else:
+            x = h_inv @ (b - alpha + c * (deg @ x + adj @ (x + e[k])))
+            alpha = alpha + c * (deg @ x - adj @ (x + e[k + 1]))
+        xs.append(x)
+        alphas.append(alpha)
+    shape = (n_iter + 1, *obj.rhs.shape)
+    return np.reshape(xs, shape), np.reshape(alphas, shape)
+
+
+def transition(g, obj, c: float) -> np.ndarray:
+    """The noiseless map's linear part A on (x, alpha), side 2Nn; both placements share it."""
+    h, deg, adj, _ = operators(g, obj, c)
+    h_inv = np.linalg.inv(h)
+    ax = np.hstack([c * h_inv @ (deg + adj), -h_inv])
+    return np.vstack([ax, np.hstack([np.zeros_like(h), np.eye(len(h))]) + c * (deg - adj) @ ax])
+
+
+def exact_rate(g, obj, c: float) -> float:
+    """rho(A) over the modes other than the n unit ones (the dual's consensus direction).
+
+    The dual sum is invariant (1^T L = 0) and zero from the zero start, so
+    the unit modes are never excited; the rest set the asymptotic rate.
+    """
+    eig = np.linalg.eigvals(transition(g, obj, c))
+    order = np.argsort(np.abs(eig - 1.0))
+    dim = obj.rhs.shape[1]
+    unit, rest = eig[order[:dim]], eig[order[dim:]]
+    if np.max(np.abs(unit - 1.0)) > 1e-8:
+        raise ValueError(f"expected {dim} unit eigenvalues, nearest are {unit}")
+    return float(np.max(np.abs(rest)))

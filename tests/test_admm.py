@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncadmm import admm, analysis
+from ncadmm import admm
 from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, ReferencePoint, Trajectory,
                          reference_point, run_decentralized, run_matrix_form,
                          x_err_series)
@@ -376,8 +376,8 @@ class TestBlockedSeries:
         g, obj, _, max_iter = shape
         traj = run_decentralized(g, obj, 0.3, NoiseModel.none(), ANALYSIS_FAITHFUL,
                                  max_iter, RandomStream(seed=1))
-        rows = [s.stop - s.start for s in analysis._blocks(traj, len(traj))]
-        steps = [s.stop - s.start for s in analysis._blocks(traj, traj.n_iter)]
+        rows = [s.stop - s.start for s in admm.row_blocks(len(traj), g.n_arcs)]
+        steps = [s.stop - s.start for s in admm.row_blocks(traj.n_iter, g.n_arcs)]
         expected = {20: [71, 71, 9], 100: [1] * 6}[g.n_nodes]
         assert expected[0] == max(1, admm._CHUNK_LANES // g.n_arcs)
         assert rows == expected

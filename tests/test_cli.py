@@ -433,25 +433,38 @@ def test_unwritable_output_path_fails_before_any_compute(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("command, out_flag", [
-    (["run", "--cell", "0.1,0.001"], "--out"),
-    (["audit", "--cell", "0.1,0.001"], "--out"),
+    (["run", "--cell", "0.2,0.001"], "--out"),
+    (["audit", "--cell", "0.2,0.001"], "--out"),
     (["experiment"], "--csv"),
 ], ids=["run", "audit", "experiment"])
 def test_quantizer_without_delta_fails_before_any_compute(tmp_path, monkeypatch, capsys,
                                                           command, out_flag):
-    # the desk profile's delta is 0, which would quantize nothing
+    # the config sets delta to 0, which would quantize nothing
     def computed(*args, **kwargs):
         pytest.fail("computed")
 
     for name in ("run_experiment", "trial_instance"):
         monkeypatch.setattr(cli, name, computed)
     out = tmp_path / "out.csv"
-    argv = command + ["--model", "quantizer", "--max-iter", "20", out_flag, str(out)]
+    argv = command + ["--config", str(small_config(tmp_path)), "--model", "quantizer",
+                      "--max-iter", "20", out_flag, str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: noise.delta must be positive for noise.model quantizer\n"
     assert not out.exists()
+
+
+def test_quantizer_runs_on_the_desk_profile(tmp_path, capsys):
+    # the built-in delta is positive, so the quantizer needs no config file
+    outs = {}
+    for model in ("quantizer", "none"):
+        outs[model] = tmp_path / f"{model}.csv"
+        argv = ["run", "--model", model, "--max-iter", "20", "--cell", "0.1,0.001",
+                "--out", str(outs[model])]
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert outs["quantizer"].read_bytes() != outs["none"].read_bytes()
 
 
 @pytest.mark.parametrize("command", ["theory", "run", "audit"])

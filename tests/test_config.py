@@ -101,10 +101,10 @@ class TestValidation:
             load_config(write(tmp_path, {"admm": {"c": [0.0]}}))
 
     def test_rejects_quantizer_with_zero_delta(self, tmp_path):
-        # delta defaults to 0, which would quantize nothing
+        # a zero delta would quantize nothing; the default is positive
         with pytest.raises(ConfigError, match="noise.delta must be positive"):
-            load_config(write(tmp_path, {"noise": {"model": "quantizer"}}))
-        cfg = load_config(write(tmp_path, {"noise": {"model": "quantizer", "delta": 1e-3}}))
+            load_config(write(tmp_path, {"noise": {"model": "quantizer", "delta": 0.0}}))
+        cfg = load_config(write(tmp_path, {"noise": {"model": "quantizer"}}))
         assert cfg.noise_model(1e-3).delta == 1e-3
 
 

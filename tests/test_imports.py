@@ -1,4 +1,4 @@
-"""Every name imported into a package module is used there."""
+"""Every name imported into a package module is used there, and none is private."""
 
 import ast
 from pathlib import Path
@@ -39,3 +39,18 @@ def test_allowed_entries_are_unused_imports():
     stale = sorted((module, name) for module, name in ALLOWED
                    if name not in unused_imports(SRC / f"{module}.py"))
     assert stale == []
+
+
+def private_imports(path):
+    """Underscore names that a package module imports from another package module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").startswith("ncadmm"))
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_imports(path):
+    """A module's underscore names, such as admm's block size, stay behind it."""
+    assert private_imports(path) == []
