@@ -54,9 +54,9 @@ x^k to the own term and x^k + e^k to the sum in ``broadcast``, where that
 sum serves the dual update and the next x-update.  A run of K iterations
 takes K + 1 neighbor sums in either mode.
 
-A :class:`Trajectory` holds only engine state (iterates, per-node duals,
-error blocks and the initial arc dual).  The arc-space quantities derived
-from it (z, beta, e_z, the G-norm and the error gate) live in
+A :class:`Trajectory` holds only the engine state its reader needs (its
+docstring lists the three ``record`` levels).  The arc-space quantities
+derived from it (z, beta, e_z, the G-norm and the error gate) live in
 :mod:`ncadmm.analysis`.
 """
 
@@ -66,13 +66,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, RandomStream, sample_error_block
+from .noise import NoiseModel, RandomStream, quantizer_error, sample_error_block
 from .objective import ObjectiveSet
 from .topology import Graph, build_arc_matrices
 
 ANALYSIS_FAITHFUL = "analysis_faithful"
 BROADCAST = "broadcast"
 PLACEMENT_MODES = (ANALYSIS_FAITHFUL, BROADCAST)
+RECORDS = ("light", "errors", "full")
 
 # Node-iterations per chunked draw: keyed-normal throughput plateaus from
 # about 4k lanes, and a chunk of 8k lanes peaks near 1.5 MB at any N
@@ -99,20 +100,30 @@ class ReferencePoint:
 class Trajectory:
     """Record of a run; index 0 of every per-iteration array is the start.
 
-    Only engine state is stored.  ``e_xs[k]`` is the error block added to
-    the messages carrying iterate k; ``alphas`` is the per-node dual the
-    engine carried; the arc variables follow from ``xs`` and the initial
-    arc dual ``beta0`` (see :func:`ncadmm.analysis.gnorm_series`).
-    ``alphas``/``e_xs``/``beta0`` are None for metric-only runs (record
-    "light"); the arc-space analysis requires a full record.
+    Only engine state is stored, as much as the record asked for:
+
+    - "light": the iterates ``xs`` (the Monte Carlo sweep);
+    - "errors": also the initial arc dual ``beta0`` and the error blocks,
+      which is all :mod:`ncadmm.analysis` reads (``run`` and ``audit``);
+    - "full": also ``alphas``, the per-node dual the engine carried, an
+      oracle for the tests only.
+
+    Message k carries iterate k, for k = 0..K-1 and, in broadcast mode,
+    k = K.  :meth:`errors` gives the error blocks on them: ``e_xs[k]`` is
+    what a random kind drew, each draw block stored once; quantizer error
+    is derived again from ``xs[k]`` by :func:`ncadmm.noise.quantizer_error`,
+    the engine's own function.  The arc variables follow from ``xs`` and
+    ``beta0`` (see :func:`ncadmm.analysis.gnorm_series`).
     """
 
     graph: Graph
     c: float
     xs: np.ndarray                 # (K+1, N, n)
     alphas: np.ndarray | None      # (K+1, N, n)
-    e_xs: np.ndarray | None        # (K, N, n)
+    e_xs: np.ndarray | None        # (messages, N, n), drawn kinds only
     beta0: np.ndarray | None       # (2E, n)
+    noise: NoiseModel | None = None
+    mode: str = ANALYSIS_FAITHFUL
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -121,9 +132,20 @@ class Trajectory:
     def n_iter(self) -> int:
         return self.xs.shape[0] - 1
 
-    def require_full(self) -> None:
-        if self.alphas is None or self.e_xs is None or self.beta0 is None:
-            raise ValueError("this operation needs a trajectory recorded with record='full'")
+    @property
+    def n_messages(self) -> int:
+        """The perturbed messages: one per iterate but the last, which broadcast sends too."""
+        return self.n_iter + (self.mode == BROADCAST)
+
+    def errors(self, rows: slice) -> np.ndarray:
+        """The (len, N, n) error blocks on messages ``rows``, bit for bit the engine's."""
+        rows = slice(*rows.indices(self.n_messages))
+        if self.noise is not None and self.noise.kind == "quantizer":
+            return quantizer_error(self.xs[rows], self.noise.delta)
+        if self.e_xs is None:
+            raise ValueError("the error blocks need a trajectory recorded with "
+                             "record='errors' or 'full'")
+        return self.e_xs[rows]
 
 
 def reference_point(g: Graph, obj: ObjectiveSet) -> ReferencePoint:
@@ -175,16 +197,19 @@ def row_blocks(n_rows: int, lanes: int):
     return (slice(start, min(start + rows, n_rows)) for start in range(0, n_rows, rows))
 
 
-def _error_source(model: NoiseModel, stream: RandomStream, n_nodes: int, n_draws: int):
-    """``error(k, x)``: the error block on the messages carrying iterate k.
+def _error_source(model: NoiseModel, stream: RandomStream, shape: tuple, keep: bool):
+    """``error(k, x)``, the error block on the messages carrying iterate k, and the kept draws.
 
-    Quantizer error is drawn from x per request.  Every other kind is drawn
-    one :func:`row_blocks` block of iterations 0..n_draws-1 per call;
-    requests must come in order k = 0, 1, ...
+    ``shape`` is (messages, N, n).  Quantizer error is computed from x per
+    request and never kept (the record derives it again).  Every other kind
+    is drawn one :func:`row_blocks` block of iterations per call and, when
+    ``keep``, stored once into the kept array; requests must come in order
+    k = 0, 1, ...
     """
     if model.kind == "quantizer":
-        return lambda k, x: sample_error_block(model, x, stream, k)
-    blocks = row_blocks(n_draws, n_nodes)
+        return (lambda k, x: sample_error_block(model, x, stream, k)), None
+    kept = np.empty(shape) if keep else None
+    blocks = row_blocks(shape[0], shape[1])
     rows, block = slice(0, 0), None
 
     def error(k: int, x: np.ndarray) -> np.ndarray:
@@ -192,8 +217,10 @@ def _error_source(model: NoiseModel, stream: RandomStream, n_nodes: int, n_draws
         if k >= rows.stop:
             rows = next(blocks)
             block = sample_error_block(model, x, stream, np.arange(rows.start, rows.stop))
+            if keep:
+                kept[rows] = block
         return block[k - rows.start]
-    return error
+    return error, kept
 
 
 def _check_run_args(g: Graph, obj: ObjectiveSet, c: float, max_iter: int) -> None:
@@ -219,17 +246,15 @@ def run_decentralized(
 ) -> Trajectory:
     """Run the per-node protocol for ``max_iter`` iterations.
 
-    Starts from x = alpha = 0.  ``record="light"`` keeps only the x history
-    (used by the Monte Carlo sweep); "full" additionally stores the per-node
-    duals, the injected error blocks and the initial arc dual, from which
-    :mod:`ncadmm.analysis` derives the arc variables.  Any other ``record``
-    is rejected.
+    Starts from x = alpha = 0.  ``record``, one of :data:`RECORDS`, picks
+    what the :class:`Trajectory` keeps (see there); any other value is
+    rejected.
     """
     _check_run_args(g, obj, c, max_iter)
     if mode not in PLACEMENT_MODES:
         raise ValueError(f"unknown placement mode {mode!r}; expected one of {PLACEMENT_MODES}")
-    if record not in ("full", "light"):
-        raise ValueError(f"unknown record {record!r}; expected 'full' or 'light'")
+    if record not in RECORDS:
+        raise ValueError(f"unknown record {record!r}; expected one of {RECORDS}")
     n_nodes, dim = g.n_nodes, obj.dim
     am = build_arc_matrices(g)
     inv_ops = _solve_operators(g, obj, c)
@@ -240,11 +265,8 @@ def run_decentralized(
 
     xs = np.empty((max_iter + 1, n_nodes, dim))
     xs[0] = x
-    alphas = e_xs = beta0 = None
-    if full:
-        alphas = np.empty_like(xs)
-        e_xs = np.empty((max_iter, n_nodes, dim))
-        beta0 = np.zeros((g.n_arcs, dim))
+    alphas = np.empty_like(xs) if full else None
+    beta0 = None if record == "light" else np.zeros((g.n_arcs, dim))
 
     # Every step works on same-shape (N, n) operands in preallocated
     # buffers: numpy's per-call cost, not arithmetic, sets the speed here.
@@ -262,7 +284,7 @@ def run_decentralized(
     faithful = mode == ANALYSIS_FAITHFUL
     own, msgs = (stack, stack) if faithful else (stack[:1], stack[1:])
     n_draws = max_iter if faithful else max_iter + 1
-    error = _error_source(model, stream, n_nodes, n_draws)
+    error, e_xs = _error_source(model, stream, (n_draws, n_nodes, dim), record != "light")
     for k in range(max_iter + 1):
         e_k = error(k, x) if k < n_draws else 0.0
         stack[0] = x
@@ -278,13 +300,12 @@ def run_decentralized(
             alphas[k] = alpha
         if k == max_iter:
             break
-        if full:
-            e_xs[k] = e_k
         np.subtract(obj.rhs, alpha, out=rhs)
         rhs += w[1]
         x = np.einsum("nij,nj->ni", inv_ops, rhs, out=xs[k + 1])
 
-    return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta0)
+    return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta0,
+                      noise=model, mode=mode)
 
 
 def run_matrix_form(
@@ -319,9 +340,8 @@ def run_matrix_form(
     xs[0] = x
     alphas = np.empty_like(xs)
     alphas[0] = alpha
-    e_xs = np.empty((max_iter, n_nodes, dim))
 
-    error = _error_source(model, stream, n_nodes, max_iter)
+    error, e_xs = _error_source(model, stream, (max_iter, n_nodes, dim), True)
     for k in range(max_iter):
         e_k = error(k, x)
         z_hat = 0.5 * am.apply_mplus_t(x + e_k)
@@ -332,6 +352,6 @@ def run_matrix_form(
 
         xs[k + 1] = x
         alphas[k + 1] = alpha
-        e_xs[k] = e_k
 
-    return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta_start)
+    return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta_start,
+                      noise=model)

@@ -20,18 +20,21 @@ m_f - (c/2) sp >= 0 (what a nonnegative delta needs).  The steady-state
 coefficient likewise comes in a square-root and a stated variant,
 sqrt(max_degree) resp. max_degree times the error norm.
 
-The arc-space quantities of a full run record are derived here, never
-stored: the arc variables
+The arc-space quantities of a run are derived here, never stored, from
+a record that keeps the iterates, beta^0 and the error blocks (record
+"errors" or "full"; no function here reads the per-node duals): the arc
+variables
 
     z^k    = 0.5 * Mplus.T x^k
     beta^k = beta^{k-1} + (c/2) * Mminus.T x^k,   beta^0 = traj.beta0
 
 feed the squared G-norm c ||z^k - z*||^2 + ||beta^k - beta*||^2 / c
 (:func:`gnorm_series`), and the arc-space error e_z^k = 0.5 * Mplus.T e_x^k
-(:func:`derive_ez_block`) feeds the gate (:func:`error_gates`).  Both
-series walk the record in the engine's blocks of iterations
-(:func:`ncadmm.admm.row_blocks` over the arcs), with one arc-operator call
-per block, so no (K+1, 2E, n) array is built.
+(:func:`derive_ez_block`, e_x^k from :meth:`ncadmm.admm.Trajectory.errors`)
+feeds the gate (:func:`error_gates`).  Both series walk the record in the
+engine's blocks of iterations (:func:`ncadmm.admm.row_blocks` over the
+arcs), with one arc-operator call per block, so no (K+1, 2E, n) array is
+built.
 """
 
 from __future__ import annotations
@@ -192,9 +195,11 @@ def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
     iteration order (``np.cumsum`` is 8x slower on the audit's 5-row
     blocks), so every row equals the one-step formula bit for bit.
     Each iteration's squares are summed over its flattened (2E * n) arc
-    entries, as for one array.  Needs a full record.
+    entries, as for one array.  Needs beta^0: record "errors" or "full".
     """
-    traj.require_full()
+    if traj.beta0 is None:
+        raise ValueError("the G-norm needs the initial arc dual of a trajectory "
+                         "recorded with record='errors' or 'full'")
     am = build_arc_matrices(traj.graph)
     half_c = 0.5 * traj.c
     out = np.empty(len(traj))
@@ -234,15 +239,18 @@ def derive_ez_block(e_x_nodes: np.ndarray, am) -> np.ndarray:
 def error_gates(traj: Trajectory, xerr: np.ndarray) -> np.ndarray:
     """The error gate ||e_z^k|| <= ||x^{k+1} - x*|| at every step k, shape (K,).
 
-    ``xerr`` is :func:`x_err_series` of the same run.  e_z^k is the exact
-    arc-space error derived from the recorded noise realization, one
-    :func:`row_blocks` block at a time, so the trajectory needs a full record.
+    ``xerr`` is :func:`x_err_series` of the same run, K+1 entries; any
+    other length is rejected.  e_z^k is the exact arc-space error derived
+    from :meth:`~ncadmm.admm.Trajectory.errors`, one :func:`row_blocks`
+    block at a time, so the record must be "errors" or "full".
     """
-    traj.require_full()
+    if np.shape(xerr) != (len(traj),):
+        raise ValueError(f"xerr has shape {np.shape(xerr)}; the trajectory needs "
+                         f"({len(traj)},), one entry per iterate")
     am = build_arc_matrices(traj.graph)
     gates = np.empty(traj.n_iter, dtype=bool)
     for rows in row_blocks(traj.n_iter, traj.graph.n_arcs):
-        e_z = derive_ez_block(traj.e_xs[rows], am)
+        e_z = derive_ez_block(traj.errors(rows), am)
         e_z *= e_z
         norms = np.sqrt(e_z.reshape(len(e_z), -1).sum(axis=1))
         gates[rows] = norms <= xerr[rows.start + 1:rows.stop + 1]
@@ -257,7 +265,6 @@ def audit_contraction(traj: Trajectory, ref: ReferencePoint, report: TheoryRepor
     sit below the 1e-14 floor.  The gate is :func:`error_gates`, which
     makes this an offline audit (it needs the reference point).
     """
-    traj.require_full()
     if ref.x_star.shape != traj.xs.shape[1:]:
         raise ValueError("trajectory and reference point have mismatched shapes")
     gnorm = gnorm_series(traj, ref)

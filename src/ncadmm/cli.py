@@ -150,12 +150,12 @@ def _cell_instance(args):
 
 
 def _cell_run(cfg, cell_idx, g, obj):
-    """Trial 0's trajectory of the cell (full record), its reference point and (c, sigma_e)."""
+    """Trial 0's trajectory of the cell (record "errors"), its reference point and (c, sigma_e)."""
     c, sigma_e = cfg.cells()[cell_idx]
     traj = run_decentralized(
         g, obj, c, cfg.noise_model(sigma_e), cfg.noise.placement_mode,
         cfg.admm.max_iter, RandomStream(seed=cfg.seed, trial=0, cell=cell_idx),
-        record="full",
+        record="errors",
     )
     return traj, reference_point(g, obj), c, sigma_e
 

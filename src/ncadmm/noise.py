@@ -243,6 +243,17 @@ class NoiseModel:
         return cls(kind="fixed_norm", sigma_e=sigma_e)
 
 
+def quantizer_error(x: np.ndarray, delta: float) -> np.ndarray:
+    """``delta * round(x / delta) - x``, rounding half away from zero.
+
+    Entry by entry, so a block of iterates gets each iterate's error bit for
+    bit: the record of a quantizer run derives its errors through this
+    function instead of storing them.
+    """
+    t = x / delta
+    return delta * (np.sign(t) * np.floor(np.abs(t) + 0.5)) - x
+
+
 def sample_error_block(
     model: NoiseModel,
     x_nodes: np.ndarray,
@@ -262,9 +273,7 @@ def sample_error_block(
     if model.kind == "none":
         return np.zeros(shape)
     if model.kind == "quantizer":
-        t = x_nodes / model.delta
-        quantized = model.delta * (np.sign(t) * np.floor(np.abs(t) + 0.5))
-        error = quantized - x_nodes
+        error = quantizer_error(x_nodes, model.delta)
         return error if np.ndim(iteration) == 0 else np.broadcast_to(error, shape).copy()
 
     normals = polar_normals(lane_states(stream, np.arange(n_rows), iteration), dim)

@@ -85,3 +85,31 @@ def exact_rate(g, obj, c: float) -> float:
     if np.max(np.abs(unit - 1.0)) > 1e-8:
         raise ValueError(f"expected {dim} unit eigenvalues, nearest are {unit}")
     return float(np.max(np.abs(rest)))
+
+
+def quantizer_point(g, obj, c: float, delta: float, steps: int = 100):
+    """The consensus value y of the quantized analysis_faithful iteration, or None.
+
+    At a fixed point the dual update forces consensus x_i = y, every node
+    sends q(y) = delta * round(y / delta) (half away from zero), and the
+    duals sum to zero; summing the x-update over the nodes, with
+    sum_i d_i = 2E, leaves one n-dimensional equation
+
+        (sum_i gram_i + 4cE I) y = sum_i rhs_i + 4cE q(y).
+
+    Solved by plain iteration from the centralized solution x_c; q is
+    piecewise constant, so None is returned unless an iterate repeats
+    exactly within ``steps``.
+    """
+    gram, rhs = obj.grams.sum(axis=0), obj.rhs.sum(axis=0)
+    shift = 4.0 * c * len(g.edges)
+    lhs = gram + shift * np.eye(len(rhs))
+    y = np.linalg.solve(gram, rhs)
+    for _ in range(steps):
+        t = y / delta
+        q = delta * (np.sign(t) * np.floor(np.abs(t) + 0.5))
+        y_next = np.linalg.solve(lhs, rhs + shift * q)
+        if np.array_equal(y_next, y):
+            return y
+        y = y_next
+    return None

@@ -262,7 +262,7 @@ class TestChunkedDraws:
             assert traj.alphas is None and traj.e_xs is None and traj.beta0 is None
             return
         assert np.array_equal(traj.alphas, alphas)
-        assert np.array_equal(traj.e_xs, e_xs)
+        assert np.array_equal(traj.errors(slice(0, max_iter)), e_xs)
 
     @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
@@ -299,7 +299,7 @@ class TestChunkedDraws:
         traj = run_matrix_form(g, obj, 0.3, model, 100, stream)
         xs, e_xs, zs, betas = per_iteration_matrix_form(g, obj, 0.3, model, 100, stream)
         assert np.array_equal(traj.xs, xs)
-        assert np.array_equal(traj.e_xs, e_xs)
+        assert np.array_equal(traj.errors(slice(None)), e_xs)
         traj_zs, traj_betas = arc_history(traj)
         assert np.array_equal(traj_zs, zs)
         assert np.array_equal(traj_betas, betas)
@@ -322,7 +322,7 @@ class TestChunkedDraws:
         gnorm = traj.c * np.sum(dz * dz, axis=(1, 2)) + np.sum(db * db, axis=(1, 2)) / traj.c
         assert np.array_equal(gnorm_series(traj, ref), gnorm)
 
-        e_z = 0.5 * am.apply_mplus_t(traj.e_xs)
+        e_z = 0.5 * am.apply_mplus_t(traj.errors(slice(0, traj.n_iter)))
         ez_norm = np.sqrt(np.sum(e_z * e_z, axis=(1, 2)))
         xerr = x_err_series(traj, ref)
         assert np.array_equal(error_gates(traj, xerr), ez_norm <= xerr[1:])
@@ -331,6 +331,82 @@ class TestChunkedDraws:
         at = np.concatenate([[0.0], ez_norm])
         assert error_gates(traj, at).all()
         assert not error_gates(traj, np.nextafter(at, -np.inf)).any()
+
+
+class TestErrorRecord:
+    """``Trajectory.errors`` replays the per-iteration draws, whatever the record stores.
+
+    At N=200 a draw block is 40 iterations: K=100 gives blocks of 40, 40 and
+    20 rows (21 in broadcast, whose row K carries the final message).
+    """
+
+    ALL_KINDS = [NoiseModel.none(), NoiseModel.gaussian(1e-2),
+                 NoiseModel.quantizer(1e-3), NoiseModel.fixed_norm(1e-2)]
+    MAX_ITER = 100
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        g = gen_connected_graph(200, 0.05, seed=25)
+        obj, _ = make_problem(200, 3, 1e-3, "well_conditioned", seed=26)
+        return g, obj
+
+    @pytest.mark.parametrize("engine", [ANALYSIS_FAITHFUL, BROADCAST, "matrix_form"])
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_equal_to_per_iteration_draws(self, instance, model, engine):
+        g, obj = instance
+        stream = RandomStream(seed=27, trial=1, cell=2)
+        if engine == "matrix_form":
+            traj = run_matrix_form(g, obj, 0.3, model, self.MAX_ITER, stream)
+        else:
+            traj = run_decentralized(g, obj, 0.3, model, engine, self.MAX_ITER, stream,
+                                     record="errors")
+        n_messages = self.MAX_ITER + (engine == BROADCAST)
+        assert traj.n_messages == n_messages
+        drawn = np.stack([sample_error_block(model, traj.xs[k], stream, k)
+                          for k in range(n_messages)])
+        for rows in (slice(None), slice(35, 45), slice(79, 81), slice(78, n_messages),
+                     slice(n_messages - 1, n_messages)):
+            assert np.array_equal(traj.errors(rows), drawn[rows]), rows
+
+    @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_full_record_errors_equal_errors_record(self, instance, model, mode):
+        g, obj = instance
+        runs = [run_decentralized(g, obj, 0.3, model, mode, self.MAX_ITER,
+                                  RandomStream(seed=28), record=record)
+                for record in ("errors", "full")]
+        assert runs[0].alphas is None and runs[1].alphas is not None
+        assert np.array_equal(runs[0].errors(slice(None)), runs[1].errors(slice(None)))
+
+    @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_only_drawn_kinds_store_errors(self, instance, model, mode):
+        g, obj = instance
+        traj = run_decentralized(g, obj, 0.3, model, mode, self.MAX_ITER,
+                                 RandomStream(seed=29), record="errors")
+        if model.kind == "quantizer":
+            assert traj.e_xs is None
+        else:
+            assert traj.e_xs.shape == (traj.n_messages, g.n_nodes, 3)
+        assert traj.beta0 is not None
+
+    @pytest.mark.parametrize("model", [NoiseModel.none(), NoiseModel.gaussian(1e-2),
+                                       NoiseModel.fixed_norm(1e-2)], ids=lambda m: m.kind)
+    def test_light_record_of_a_drawn_kind_has_no_errors(self, instance, model):
+        g, obj = instance
+        traj = run_decentralized(g, obj, 0.3, model, BROADCAST, 10, RandomStream(seed=30),
+                                 record="light")
+        with pytest.raises(ValueError, match="record='errors' or 'full'") as err:
+            traj.errors(slice(0, 5))
+        assert "\n" not in str(err.value)
+
+    def test_light_quantizer_record_derives_its_errors(self, instance):
+        g, obj = instance
+        model = NoiseModel.quantizer(1e-3)
+        light, kept = (run_decentralized(g, obj, 0.3, model, BROADCAST, 10,
+                                         RandomStream(seed=31), record=record)
+                       for record in ("light", "errors"))
+        assert np.array_equal(light.errors(slice(None)), kept.errors(slice(None)))
 
 
 def per_step_gnorm(traj, ref):
@@ -347,7 +423,8 @@ def per_step_ez_norms(traj):
     """||e_z^k|| one step at a time, as the per-step gate loop computed it."""
     am = build_arc_matrices(traj.graph)
     norms = np.empty(traj.n_iter)
-    for k, e_x in enumerate(traj.e_xs):
+    for k in range(traj.n_iter):
+        e_x = traj.errors(slice(k, k + 1))[0]
         e_z = 0.5 * (e_x[am.tail] + e_x[am.head])
         norms[k] = np.sqrt(np.sum(e_z * e_z))
     return norms
@@ -516,7 +593,7 @@ class TestValidationAndRecording:
                                  25, RandomStream(seed=11))
         assert len(traj) == 26
         assert traj.n_iter == 25
-        assert traj.e_xs.shape == (25, g.n_nodes, 3)
+        assert traj.errors(slice(None)).shape == (25, g.n_nodes, 3)
 
     def test_single_node_rejected_at_graph_level(self):
         with pytest.raises(ValueError):

@@ -259,6 +259,17 @@ class TestAuditContraction:
         with pytest.raises(ValueError, match="mismatched shapes"):
             audit_contraction(traj, reference_point(*other[:2]), report)
 
+    @pytest.mark.parametrize("length", [0, 10, 12, 30])
+    def test_gate_rejects_xerr_of_another_length(self, length):
+        """K=10 needs K+1 = 11 distances: a longer one is not sliced, a shorter one not broadcast."""
+        g, obj, _, c = certified_setup(6)
+        traj = run_decentralized(g, obj, c, NoiseModel.gaussian(1e-3), ANALYSIS_FAITHFUL,
+                                 10, RandomStream(seed=7), record="errors")
+        assert error_gates(traj, np.ones(11)).all()
+        with pytest.raises(ValueError, match=rf"xerr has shape \({length},\);") as err:
+            error_gates(traj, np.ones(length))
+        assert "\n" not in str(err.value)
+
     def test_unchecked_when_conditions_fail(self):
         g, obj, spec, _ = certified_setup(4)
         c_big = 3.0 * obj.m_f / spec.sigma_max_mplus  # violates both readings

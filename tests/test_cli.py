@@ -2,16 +2,18 @@ import argparse
 import json
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 from ncadmm import cli, experiment
+from ncadmm.analysis import audit_contraction, optimize_delta, theory_constants
 from ncadmm.cli import main
-from ncadmm.config import full_config
+from ncadmm.config import full_config, load_config
 from ncadmm.objective import ObjectiveSet
-from ncadmm.topology import read_edge_list
+from ncadmm.topology import build_arc_matrices, read_edge_list, spectral_summary
 
 
 def small_config(tmp_path, **overrides):
@@ -299,6 +301,48 @@ class TestAudit:
         row = out.read_text().splitlines()[1].split(",")
         assert row[4] == "0"  # nothing checked under violated conditions
         assert row[5] == ""
+
+
+class TestCellRecord:
+    """``run`` and ``audit`` keep the iterates and the drawn errors, never the duals."""
+
+    @staticmethod
+    def cell_instance(tmp_path, model, **overrides):
+        doc = {"noise": {"model": model, "sigma_e": [1e-3], "delta": 1e-3,
+                         "placement_mode": "analysis_faithful"}, **overrides}
+        cfg = load_config(small_config(tmp_path, **doc))
+        return (cfg, 0, *experiment.trial_instance(cfg, 0))
+
+    @pytest.mark.parametrize("model", ["gaussian", "fixed_norm", "quantizer"])
+    def test_no_dual_history(self, tmp_path, model):
+        traj = cli._cell_run(*self.cell_instance(tmp_path, model))[0]
+        assert traj.alphas is None
+        assert traj.beta0 is not None
+        if model == "quantizer":
+            assert traj.e_xs is None
+        else:
+            assert traj.e_xs.shape == traj.xs[1:].shape
+
+    def test_quantizer_audit_peaks_near_two_x_histories(self, tmp_path):
+        """The record holds x only; one series temporary of its size comes on top.
+
+        N=20, n=2, K=2000 (x is 0.64 MB): a record that also kept the duals
+        and the quantizer error held three histories and peaked above four.
+        """
+        cfg, cell, g, obj = self.cell_instance(
+            tmp_path, "quantizer", admm={"c": [0.05], "max_iter": 2000},
+            graph={"n_nodes": 20, "rho": 0.3})
+        spec = spectral_summary(build_arc_matrices(g))
+        tracemalloc.start()
+        try:
+            traj, ref, c, _ = cli._cell_run(cfg, cell, g, obj)
+            mu, _ = optimize_delta(spec, obj.m_f, obj.M_f, c)
+            audit_contraction(traj, ref, theory_constants(spec, obj.m_f, obj.M_f, c, mu))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.xs.nbytes == 2001 * 20 * 2 * 8
+        assert peak <= 3 * traj.xs.nbytes
 
 
 @pytest.mark.parametrize("command, message", [
