@@ -112,7 +112,8 @@ class Trajectory:
     k = K.  :meth:`errors` gives the error blocks on them: ``e_xs[k]`` is
     what a random kind drew, each draw block stored once; quantizer error
     is derived again from ``xs[k]`` by :func:`ncadmm.noise.quantizer_error`,
-    the engine's own function.  The arc variables follow from ``xs`` and
+    the engine's own function, and ``none`` error is zeros, so neither
+    stores an array.  The arc variables follow from ``xs`` and
     ``beta0`` (see :func:`ncadmm.analysis.gnorm_series`).
     """
 
@@ -120,7 +121,7 @@ class Trajectory:
     c: float
     xs: np.ndarray                 # (K+1, N, n)
     alphas: np.ndarray | None      # (K+1, N, n)
-    e_xs: np.ndarray | None        # (messages, N, n), drawn kinds only
+    e_xs: np.ndarray | None        # (messages, N, n), gaussian and fixed_norm only
     beta0: np.ndarray | None       # (2E, n)
     noise: NoiseModel | None = None
     mode: str = ANALYSIS_FAITHFUL
@@ -140,8 +141,11 @@ class Trajectory:
     def errors(self, rows: slice) -> np.ndarray:
         """The (len, N, n) error blocks on messages ``rows``, bit for bit the engine's."""
         rows = slice(*rows.indices(self.n_messages))
-        if self.noise is not None and self.noise.kind == "quantizer":
+        kind = self.noise.kind if self.noise is not None else None
+        if kind == "quantizer":
             return quantizer_error(self.xs[rows], self.noise.delta)
+        if kind == "none":
+            return np.zeros_like(self.xs[rows])
         if self.e_xs is None:
             raise ValueError("the error blocks need a trajectory recorded with "
                              "record='errors' or 'full'")
@@ -171,10 +175,13 @@ def reference_point(g: Graph, obj: ObjectiveSet) -> ReferencePoint:
 
 
 def x_err_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
-    """Stacked-vector distances ||x^k - x*||_2 at every iteration."""
-    d = traj.xs - ref.x_star
-    d *= d
-    return np.sqrt(np.sum(d, axis=(1, 2)))
+    """Stacked-vector distances ||x^k - x*||_2 per iteration, in :func:`row_blocks` blocks."""
+    out = np.empty(len(traj))
+    for rows in row_blocks(len(traj), traj.xs.shape[1]):
+        d = traj.xs[rows] - ref.x_star
+        d *= d
+        out[rows] = np.sum(d, axis=(1, 2))
+    return np.sqrt(out, out=out)
 
 
 def _solve_operators(g: Graph, obj: ObjectiveSet, c: float) -> np.ndarray:
@@ -203,11 +210,13 @@ def _error_source(model: NoiseModel, stream: RandomStream, shape: tuple, keep: b
     ``shape`` is (messages, N, n).  Quantizer error is computed from x per
     request and never kept (the record derives it again).  Every other kind
     is drawn one :func:`row_blocks` block of iterations per call and, when
-    ``keep``, stored once into the kept array; requests must come in order
-    k = 0, 1, ...
+    ``keep``, a gaussian or fixed_norm block is stored once into the kept
+    array (``none`` error is zero, and the record gives zeros without it);
+    requests must come in order k = 0, 1, ...
     """
     if model.kind == "quantizer":
         return (lambda k, x: sample_error_block(model, x, stream, k)), None
+    keep = keep and model.kind != "none"
     kept = np.empty(shape) if keep else None
     blocks = row_blocks(shape[0], shape[1])
     rows, block = slice(0, 0), None

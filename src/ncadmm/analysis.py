@@ -339,14 +339,17 @@ def steady_state_check(
 
 
 def edc_metric(traj: Trajectory, x_central: np.ndarray) -> np.ndarray:
-    """Mean over nodes of ||x_i^k - x_central|| / ||x_central|| per iteration."""
+    """Mean over nodes of ||x_i^k - x_c|| / ||x_c|| per iteration, in :func:`row_blocks` blocks."""
     x_central = np.asarray(x_central, dtype=float)
     denom = float(np.linalg.norm(x_central))
     if denom <= 0.0:
         raise ValueError("centralized estimate has zero norm; the metric is undefined")
-    d = traj.xs - x_central
-    d *= d
-    per_node = sum_last_axis(d)  # (K+1, N)
-    np.sqrt(per_node, out=per_node)
-    per_node /= denom
-    return per_node.mean(axis=1)
+    out = np.empty(len(traj))
+    for rows in row_blocks(len(traj), traj.xs.shape[1]):
+        d = traj.xs[rows] - x_central
+        d *= d
+        per_node = sum_last_axis(d)  # (rows, N)
+        np.sqrt(per_node, out=per_node)
+        per_node /= denom
+        out[rows] = per_node.mean(axis=1)
+    return out

@@ -30,9 +30,8 @@ from .analysis import (audit_contraction, edc_metric, error_gates,
 from .analysis import derive_ez_block  # noqa: F401
 from .config import (ConfigError, ExperimentConfig, default_config,
                      full_config, load_config)
-from .experiment import (emit_csv, emit_svg, format_sci_column,
-                         preflight_reports, require_finite, run_experiment,
-                         trial_instance)
+from .experiment import (emit_csv, emit_svg, preflight_reports, require_finite,
+                         run_experiment, trial_instance, write_table)
 from .noise import RandomStream
 # not called here; ncbench/tracing.py wraps cli.make_problem by name
 from .objective import make_problem  # noqa: F401
@@ -160,15 +159,6 @@ def _cell_run(cfg, cell_idx, g, obj):
     return traj, reference_point(g, obj), c, sigma_e
 
 
-def _write_lines(lines, out_path) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-
-
 def _cmd_gen_graph(args) -> int:
     _check_out_paths(args.out)
     g = gen_connected_graph(args.nodes, args.rho, args.seed)
@@ -203,11 +193,10 @@ def _cmd_run(args) -> int:
         gates = error_gates(traj, xerr)
     for name, series in (("gnorm_sq", gnorm), ("x_err_2", xerr), ("edc_mean", edc)):
         require_finite(series, f"{name} at c={c:g} sigma_e={sigma_e:g}")
-    lines = ["k,gnorm_sq,x_err_2,edc_mean,gate_satisfied"]
-    gate_strs = [str(int(gate)) for gate in gates] + [""]
-    columns = zip(*map(format_sci_column, (gnorm, xerr, edc)), gate_strs)
-    lines += [f"{k},{g_s},{x_s},{e_s},{gate}" for k, (g_s, x_s, e_s, gate) in enumerate(columns)]
-    _write_lines(lines, args.out)
+    k = np.arange(len(traj))
+    # the final state has no following step, so no gate
+    gate = np.ma.masked_array(np.append(gates, False), mask=k == traj.n_iter)
+    write_table(args.out, "k,gnorm_sq,x_err_2,edc_mean,gate_satisfied", k, gnorm, xerr, edc, gate)
     _note_placement(cfg)
     return 0
 
@@ -223,21 +212,14 @@ def _cmd_audit(args) -> int:
     report = theory_constants(spec, obj.m_f, obj.M_f, c, mu_star, sigma_e=sigma_e)
     with np.errstate(over="ignore", invalid="ignore"):
         audit = audit_contraction(traj, ref, report)
-    # skipped rows print no ratio; every other printed column is finite
-    require_finite(np.where(audit.skipped, 0.0, audit.ratios),
-                   f"gnorm_ratio at c={c:g} sigma_e={sigma_e:g}")
-    lines = ["k,gnorm_ratio,gate_satisfied,skipped,checked,x_bound_slack,violation"]
-    violation = audit.contraction_violated | audit.x_bound_violated
-    ratios = format_sci_column(np.where(audit.skipped, 0.0, audit.ratios))
-    has_slack = np.isfinite(audit.x_bound_slack)
-    slacks = format_sci_column(np.where(has_slack, audit.x_bound_slack, 0.0))
-    for k in range(traj.n_iter):
-        ratio = "" if audit.skipped[k] else ratios[k]
-        slack_str = slacks[k] if has_slack[k] else ""
-        lines.append(f"{k},{ratio},{int(audit.gates[k])},{int(audit.skipped[k])},"
-                     f"{int(audit.checked[k])},{slack_str},"
-                     f"{int(violation[k])}")
-    _write_lines(lines, args.out)
+    # skipped steps print no ratio and every other ratio is finite; a
+    # non-finite slack (the squared condition violated) prints none
+    ratios = np.ma.masked_where(audit.skipped, audit.ratios)
+    require_finite(ratios.filled(0.0), f"gnorm_ratio at c={c:g} sigma_e={sigma_e:g}")
+    write_table(args.out, "k,gnorm_ratio,gate_satisfied,skipped,checked,x_bound_slack,violation",
+                np.arange(traj.n_iter), ratios, audit.gates, audit.skipped, audit.checked,
+                np.ma.masked_invalid(audit.x_bound_slack),
+                audit.contraction_violated | audit.x_bound_violated)
     print(f"delta_star={delta_star:.12g} at mu={mu_star:.6g}; "
           f"bound={audit.bound:.12g}; "
           f"violations: contraction={audit.contraction_violated.sum()} "

@@ -172,17 +172,50 @@ def format_sci_column(values) -> list[str]:
     return strings
 
 
+def write_lines(path, lines) -> None:
+    """Write ``lines`` as ASCII, LF-terminated, to ``path`` or, for None, to stdout.
+
+    Every CSV and SVG the package writes goes out through here.
+    """
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
+
+
+def write_table(path, header: str, *columns) -> None:
+    """Write ``header`` and one CSV row per entry of the equal-length 1-D ``columns``.
+
+    A float column is written by :func:`format_sci_column`, a string column
+    as it is, any other as integers; a masked entry (``numpy.ma``) is left
+    blank.
+    """
+    texts = []
+    for column in map(np.ma.asarray, columns):
+        if column.dtype.kind == "f":
+            text = format_sci_column(column.filled(0.0))
+        elif column.dtype.kind == "U":
+            text = column.filled("").tolist()
+        else:
+            text = list(map(str, column.filled(0).astype(int).tolist()))
+        if np.ma.is_masked(column):
+            text = ["" if blank else t for t, blank in zip(text, column.mask.tolist())]
+        texts.append(text)
+    write_lines(path, [header, *map(",".join, zip(*texts, strict=True))])
+
+
 def emit_csv(result: SweepResult, path) -> None:
     """Write `c,sigma_e,k,mean_edc,std_edc` rows sorted by (c, sigma_e, k)."""
     order = sorted(range(len(result.cells)), key=lambda i: result.cells[i])
-    lines = ["c,sigma_e,k,mean_edc,std_edc"]
-    for i in order:
-        c_s, sig_s = format_sci_column(result.cells[i])
-        values = format_sci_column(np.stack([result.mean[i], result.std[i]], axis=1))
-        lines += [f"{c_s},{sig_s},{k},{mean},{std}"
-                  for k, (mean, std) in enumerate(zip(values[0::2], values[1::2]))]
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    n_k = result.mean.shape[1]
+    # each cell's c and sigma_e are formatted once and repeated on its rows
+    cells = format_sci_column([result.cells[i] for i in order])
+    write_table(path, "c,sigma_e,k,mean_edc,std_edc",
+                np.repeat(cells[0::2], n_k), np.repeat(cells[1::2], n_k),
+                np.tile(np.arange(n_k), len(order)),
+                result.mean[order].ravel(), result.std[order].ravel())
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -258,5 +291,4 @@ def emit_svg(result: SweepResult, path) -> None:
         parts.append(f'<text x="{lx + 28:.1f}" y="{ly:.1f}" font-family="monospace" '
                      f'font-size="12">c={c:g} sigma_e={sigma_e:g}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_lines(path, parts)

@@ -113,3 +113,33 @@ def quantizer_point(g, obj, c: float, delta: float, steps: int = 100):
             return y
         y = y_next
     return None
+
+
+def steady_covariance(g, obj, c: float, noise_var: float, doublings: int = 64):
+    """The steady covariance P of the analysis_faithful state (x, alpha), side 2Nn.
+
+    Error independent across nodes, entries and iterations, with covariance
+    ``noise_var`` * I per message, enters as s+ = A s + B e with
+    B = [c H^-1 Q; c L c H^-1 Q], so P solves the Stein equation
+    P = A P A^T + noise_var B B^T.  A's n unit modes (x = 1 (x) u,
+    alpha_i = -gram_i u; left vectors (0, 1 (x) v)) are projected out:
+    B has no component on them, since 1^T L = 0.  P is then the sum over
+    k of noise_var A^k B B^T (A^k)^T, built by Smith doubling until
+    A^(2^j) is below 1e-20.
+    Broadcast is not covered: its state also carries e_{k+1}.
+    """
+    h, deg, adj, _ = operators(g, obj, c)
+    n_nodes, dim = obj.rhs.shape
+    b_x = c * np.linalg.solve(h, deg + adj)
+    b = np.vstack([b_x, c * (deg - adj) @ b_x])
+    units = np.kron(np.ones((n_nodes, 1)), np.eye(dim))
+    right = np.vstack([units, -obj.grams.reshape(-1, dim)])
+    left = np.vstack([np.zeros_like(units), units])
+    a_k = transition(g, obj, c) - right @ np.linalg.solve(left.T @ right, left.T)
+    p = noise_var * (b @ b.T)
+    for _ in range(doublings):
+        p = p + a_k @ p @ a_k.T
+        a_k = a_k @ a_k
+        if np.max(np.abs(a_k)) < 1e-20:
+            return p
+    raise ValueError(f"A^(2^j) did not fall below 1e-20 in {doublings} doublings")

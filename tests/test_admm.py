@@ -384,14 +384,24 @@ class TestErrorRecord:
         g, obj = instance
         traj = run_decentralized(g, obj, 0.3, model, mode, self.MAX_ITER,
                                  RandomStream(seed=29), record="errors")
-        if model.kind == "quantizer":
+        if model.kind in ("quantizer", "none"):
             assert traj.e_xs is None
         else:
             assert traj.e_xs.shape == (traj.n_messages, g.n_nodes, 3)
         assert traj.beta0 is not None
 
-    @pytest.mark.parametrize("model", [NoiseModel.none(), NoiseModel.gaussian(1e-2),
-                                       NoiseModel.fixed_norm(1e-2)], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("record", ["light", "errors", "full"])
+    def test_none_errors_are_zeros_at_any_record(self, instance, record):
+        g, obj = instance
+        traj = run_decentralized(g, obj, 0.3, NoiseModel.none(), BROADCAST, 10,
+                                 RandomStream(seed=30), record=record)
+        assert traj.e_xs is None
+        errors = traj.errors(slice(None))
+        assert errors.shape == (11, g.n_nodes, 3)
+        assert not errors.any()
+
+    @pytest.mark.parametrize("model", [NoiseModel.gaussian(1e-2), NoiseModel.fixed_norm(1e-2)],
+                             ids=lambda m: m.kind)
     def test_light_record_of_a_drawn_kind_has_no_errors(self, instance, model):
         g, obj = instance
         traj = run_decentralized(g, obj, 0.3, model, BROADCAST, 10, RandomStream(seed=30),
@@ -627,6 +637,9 @@ class TestValidationAndRecording:
                                  10, RandomStream(seed=12), record="light")
         with pytest.raises(ValueError, match="full"):
             gnorm_series(traj, reference_point(g, obj))
+        # zero error needs no record; a drawn kind's gate does
+        traj = run_decentralized(g, obj, 0.5, NoiseModel.gaussian(1e-2), ANALYSIS_FAITHFUL,
+                                 10, RandomStream(seed=12), record="light")
         with pytest.raises(ValueError, match="full"):
             error_gates(traj, np.zeros(len(traj)))
 

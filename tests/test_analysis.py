@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncadmm.admm import (ANALYSIS_FAITHFUL, Trajectory, reference_point,
+from ncadmm.admm import (ANALYSIS_FAITHFUL, ReferencePoint, Trajectory, reference_point,
                          run_decentralized, run_matrix_form, x_err_series)
 from ncadmm.analysis import (MU_GRID, audit_contraction, edc_metric,
                              error_gates, gnorm_series, optimize_delta,
@@ -391,3 +391,36 @@ def test_audit_series_build_no_arc_history():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * traj.xs.nbytes
+
+
+@pytest.mark.parametrize("series", ["x_err_series", "edc_metric"])
+def test_distance_series_build_no_history_copy(series):
+    """Each distance series walks the record in blocks and keeps the whole-history bits.
+
+    K=5000, N=20, n=3: x is 2.4 MB, a block 409 iterations, so the series
+    crosses twelve block edges; a whole-history ``xs - point`` temporary
+    alone would peak at one x history.
+    """
+    rng = np.random.default_rng(3)
+    g = gen_connected_graph(20, 0.3, seed=3)
+    xs = rng.standard_normal((5001, 20, 3)) * rng.choice([1e-9, 1.0, 1e6], (5001, 20, 3))
+    point = rng.standard_normal(3)
+    traj = Trajectory(graph=g, c=0.5, xs=xs, alphas=None, e_xs=None, beta0=None)
+    d = xs - point
+    if series == "x_err_series":
+        fn = x_err_series
+        arg = ReferencePoint(x_star=np.tile(point, (20, 1)), z_star=None, beta_star=None,
+                             x_central=point)
+        whole = np.sqrt(np.sum(d * d, axis=(1, 2)))
+    else:
+        fn, arg = edc_metric, point
+        whole = (np.sqrt(np.sum(d * d, axis=2)) / float(np.linalg.norm(point))).mean(axis=1)
+    del d
+    tracemalloc.start()
+    try:
+        got = fn(traj, arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, whole)
+    assert peak <= 0.5 * xs.nbytes

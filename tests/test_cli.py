@@ -1,6 +1,8 @@
 import argparse
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -35,6 +37,7 @@ def small_config(tmp_path, **overrides):
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 # every flag each subcommand accepts; each one changes what the command reads
 FLAGS = {
@@ -560,6 +563,29 @@ def test_csv_without_out_goes_to_stdout(tmp_path, capsys, command):
     assert capsys.readouterr().out == ""
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("ascii") == out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_process_stdout_is_the_out_file_bytes(tmp_path, command):
+    """Without ``--out`` the process writes the file's bytes to stdout and nothing else.
+
+    Run as a separate process, so the raw stdout bytes are compared: ASCII,
+    LF endings, no stray line; the diagnostics on stderr are the same
+    either way.
+    """
+    cfg = small_config(tmp_path, admm={"c": [0.2], "max_iter": 30})
+    argv = [sys.executable, "-c", "from ncadmm.cli import entrypoint; entrypoint()",
+            command, "--config", str(cfg), "--cell", "0.2,0.001"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "cell.csv"
+    to_file = subprocess.run(argv + ["--out", str(out)], capture_output=True, env=env,
+                             check=True)
+    to_stdout = subprocess.run(argv, capture_output=True, env=env, check=True)
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == out.read_bytes()
+    assert to_stdout.stdout.startswith(b"k,") and to_stdout.stdout.endswith(b"\n")
+    assert to_stdout.stderr == to_file.stderr
 
 
 @pytest.mark.parametrize("command", ["run", "audit"])

@@ -7,7 +7,7 @@ from ncadmm.cli import main
 from ncadmm.config import (AdmmConfig, ExperimentConfig, GraphConfig,
                            NoiseConfig, OutputConfig, ProblemConfig)
 from ncadmm.experiment import (SweepResult, emit_csv, emit_svg, format_sci_column,
-                               preflight_reports, run_experiment, run_trial)
+                               preflight_reports, run_experiment, run_trial, write_table)
 
 
 def tiny_config(**kw):
@@ -185,6 +185,35 @@ class TestRunExperiment:
             segment = curve[10:]
             active = segment[:-1] > 10.0 * floor
             assert np.all(np.diff(segment)[active] <= 0.0)
+
+
+class TestWriteTable:
+    COLUMNS = (np.arange(3), np.ma.masked_invalid([0.5, np.nan, -0.0]),
+               np.array([True, False, True]),
+               np.ma.masked_array([1.25, 2.5, 3.0], mask=[False, True, False]))
+    TEXT = ("k,value,flag,level\n"
+            "0,5.0000000000000000e-1,1,1.2500000000000000e0\n"
+            "1,,0,\n"
+            "2,0e0,1,3.0000000000000000e0\n")
+
+    def test_floats_integers_and_blanks(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_table(path, "k,value,flag,level", *self.COLUMNS)
+        assert path.read_bytes() == self.TEXT.encode("ascii")
+
+    def test_no_path_writes_the_same_text_to_stdout(self, capsys):
+        write_table(None, "k,value,flag,level", *self.COLUMNS)
+        assert capsys.readouterr() == (self.TEXT, "")
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        with pytest.raises(ValueError):
+            write_table(path, "a,b", np.arange(3), np.arange(2))
+        assert not path.exists()
+
+    def test_unmasked_non_finite_value_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="non-finite value in output: inf"):
+            write_table(tmp_path / "inf.csv", "a", np.array([1.0, np.inf]))
 
 
 class TestEmitCsv:

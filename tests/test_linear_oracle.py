@@ -10,10 +10,12 @@ included, is compared.
 import numpy as np
 import pytest
 
-from linear_oracle import exact_rate, quantizer_point, replay
+from linear_oracle import exact_rate, quantizer_point, replay, steady_covariance
 from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, reference_point, run_decentralized,
                          run_matrix_form, x_err_series)
-from ncadmm.analysis import optimize_delta
+from ncadmm.analysis import optimize_delta, steady_state_check
+from ncadmm.config import ExperimentConfig, GraphConfig, ProblemConfig
+from ncadmm.experiment import trial_seeds
 from ncadmm.noise import NoiseModel, RandomStream
 from ncadmm.objective import make_problem
 from ncadmm.topology import build_arc_matrices, gen_connected_graph, spectral_summary
@@ -103,3 +105,65 @@ def test_quantizer_settles_at_its_closed_form_point(n_nodes, rho, max_iter, seed
     x_c = np.linalg.solve(gram, obj.rhs.sum(axis=0))
     bound = 2.0 * c * len(g.edges) * delta * np.sqrt(3) / np.linalg.eigvalsh(gram)[0]
     assert np.linalg.norm(y - x_c) <= bound
+
+
+def test_audit_workload_plateau_is_the_quantizer_point():
+    """The `audit` workload's x_err plateau is sqrt(N) ||y - x_c||, seed 0.
+
+    The instance is rebuilt here as the benchmark builds it: N=200,
+    rho=0.04, well_conditioned, delta=1e-4, c = m_f / max(sigma_+^2, sigma_+),
+    graph and problem seeds from ``trial_seeds``.  At consensus on y every
+    node sits ||y - x_c|| from x_c, so the stacked distance is sqrt(N) times
+    that: 1.2294291e-4, reached to 1e-8 from k of about 3300 on.  At the
+    workload's K=1000 the series is still 27% above it.
+    """
+    cfg = ExperimentConfig(seed=0, trials=1, graph=GraphConfig(n_nodes=200, rho=0.04),
+                           problem=ProblemConfig(dim=3, obs_noise_var=1e-3,
+                                                 design_kind="well_conditioned"))
+    graph_seed, problem_seed = trial_seeds(cfg, 0)
+    g = gen_connected_graph(200, 0.04, graph_seed)
+    obj, _ = make_problem(200, 3, 1e-3, "well_conditioned", problem_seed)
+    sp = spectral_summary(build_arc_matrices(g)).sigma_max_mplus
+    c = obj.m_f / max(sp**2, sp)
+    y = quantizer_point(g, obj, c, 1e-4)
+    assert y is not None
+    traj = run_decentralized(g, obj, c, NoiseModel.quantizer(1e-4), ANALYSIS_FAITHFUL,
+                             6000, RandomStream(seed=0), record="light")
+    ref = reference_point(g, obj)
+    xerr = x_err_series(traj, ref)
+    plateau = np.sqrt(200) * np.linalg.norm(y - ref.x_central)
+    assert plateau == pytest.approx(1.2294291e-4, rel=1e-7)
+    assert xerr[-1] == pytest.approx(plateau, rel=1e-8)
+    assert xerr[1000] > 1.25 * plateau
+
+
+def test_fixed_norm_tail_sits_at_the_steady_floor():
+    """Criterion 6's shape: the measured floor is trace(P_x), far under both corollary bounds.
+
+    N=20, rho=0.3, c = 2 m_f / max(sigma_+^2, sigma_+); fixed_norm error of
+    per-node norm sigma/sqrt(N) has covariance sigma^2/(N n) I per node.
+    Over the last 9,000 iterations of one K=10,000 run, the mean of
+    ||x_k - x*||^2 in 20 batches brackets trace(P_x) at the 99% t level
+    (19 degrees of freedom).  sqrt(trace(P_x)) is about 5% of
+    sqrt(d_max) sigma and 1.7% of d_max sigma, the bound that
+    ``steady_state_check`` holds the tail to.
+    """
+    g = gen_connected_graph(20, 0.3, seed=300)
+    obj, _ = make_problem(20, 3, 1e-3, "well_conditioned", seed=7000)
+    sp = spectral_summary(build_arc_matrices(g)).sigma_max_mplus
+    c = 2.0 * obj.m_f / max(sp**2, sp)
+    sigma, n_iter = 1e-2, 10_000
+    p = steady_covariance(g, obj, c, sigma**2 / (20 * 3))
+    floor = np.trace(p[:60, :60])
+    ref = reference_point(g, obj)
+    traj = run_decentralized(g, obj, c, NoiseModel.fixed_norm(sigma / np.sqrt(20)),
+                             ANALYSIS_FAITHFUL, n_iter, RandomStream(seed=0), record="light")
+    tail = x_err_series(traj, ref)[-9000:] ** 2
+    batches = tail.reshape(20, -1).mean(axis=1)
+    half_width = 2.861 * batches.std(ddof=1) / np.sqrt(20)
+    assert abs(batches.mean() - floor) <= half_width
+    res = steady_state_check(traj, ref, sigma, g)
+    assert np.sqrt(floor) <= res.bound_stated
+    print(f"\n[steady floor] sqrt(trace P_x) = {np.sqrt(floor):.4e}: "
+          f"{np.sqrt(floor) / res.bound_sqrt:.4f} of bound_sqrt, "
+          f"{np.sqrt(floor) / res.bound_stated:.4f} of bound_stated")
