@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, RandomStream, quantizer_error, sample_error_block
+from .noise import NoiseModel, RandomStream, sample_error_block
 from .objective import ObjectiveSet
 from .topology import Graph, build_arc_matrices
 
@@ -85,13 +85,12 @@ _CHUNK_LANES = 8192
 class ReferencePoint:
     """The stationary point of the noiseless iteration.
 
-    x_star stacks the centralized solution at every node; z_star is its arc
-    average (equal to the centralized solution on every arc); beta_star is
-    the minimal-norm dual, which lies in the row space of Mminus.
+    x_star stacks the centralized solution at every node, so its arc
+    average z* is the centralized solution on every arc; beta_star is the
+    minimal-norm dual, which lies in the row space of Mminus.
     """
 
     x_star: np.ndarray     # (N, n)
-    z_star: np.ndarray     # (2E, n)
     beta_star: np.ndarray  # (2E, n)
     x_central: np.ndarray  # (n,)
 
@@ -103,27 +102,25 @@ class Trajectory:
     Only engine state is stored, as much as the record asked for:
 
     - "light": the iterates ``xs`` (the Monte Carlo sweep);
-    - "errors": also the initial arc dual ``beta0`` and the error blocks,
-      which is all :mod:`ncadmm.analysis` reads (``run`` and ``audit``);
+    - "errors": also the drawn error blocks ``e_xs``, a cache that spares
+      ``run`` and ``audit`` a second draw;
     - "full": also ``alphas``, the per-node dual the engine carried, an
       oracle for the tests only.
 
     Message k carries iterate k, for k = 0..K-1 and, in broadcast mode,
-    k = K.  :meth:`errors` gives the error blocks on them: ``e_xs[k]`` is
-    what a random kind drew, each draw block stored once; quantizer error
-    is derived again from ``xs[k]`` by :func:`ncadmm.noise.quantizer_error`,
-    the engine's own function, and ``none`` error is zeros, so neither
-    stores an array.  The arc variables follow from ``xs`` and
-    ``beta0`` (see :func:`ncadmm.analysis.gnorm_series`).
+    k = K.  :meth:`errors` gives the error blocks on them from any record.
+    ``beta0`` is the initial arc dual, None for zero; with ``xs`` it gives
+    the arc variables (see :func:`ncadmm.analysis.gnorm_series`).
     """
 
     graph: Graph
     c: float
-    xs: np.ndarray                 # (K+1, N, n)
-    alphas: np.ndarray | None      # (K+1, N, n)
-    e_xs: np.ndarray | None        # (messages, N, n), gaussian and fixed_norm only
-    beta0: np.ndarray | None       # (2E, n)
+    xs: np.ndarray                    # (K+1, N, n)
+    alphas: np.ndarray | None = None  # (K+1, N, n)
+    e_xs: np.ndarray | None = None    # (messages, N, n), gaussian and fixed_norm only
+    beta0: np.ndarray | None = None   # (2E, n)
     noise: NoiseModel | None = None
+    stream: RandomStream | None = None
     mode: str = ANALYSIS_FAITHFUL
 
     def __len__(self) -> int:
@@ -139,17 +136,16 @@ class Trajectory:
         return self.n_iter + (self.mode == BROADCAST)
 
     def errors(self, rows: slice) -> np.ndarray:
-        """The (len, N, n) error blocks on messages ``rows``, bit for bit the engine's."""
-        rows = slice(*rows.indices(self.n_messages))
-        kind = self.noise.kind if self.noise is not None else None
-        if kind == "quantizer":
-            return quantizer_error(self.xs[rows], self.noise.delta)
-        if kind == "none":
-            return np.zeros_like(self.xs[rows])
-        if self.e_xs is None:
-            raise ValueError("the error blocks need a trajectory recorded with "
-                             "record='errors' or 'full'")
-        return self.e_xs[rows]
+        """The (len, N, n) error blocks on messages ``rows``, bit for bit the engine's.
+
+        The kept draws when the record has them, else the same keyed
+        :func:`sample_error_block` call again, on those messages' iterates.
+        """
+        if self.e_xs is not None:
+            return self.e_xs[rows]
+        iterations = np.arange(self.n_messages)[rows]
+        return sample_error_block(self.noise, self.xs[:self.n_messages][rows], self.stream,
+                                  iterations)
 
 
 def reference_point(g: Graph, obj: ObjectiveSet) -> ReferencePoint:
@@ -163,15 +159,13 @@ def reference_point(g: Graph, obj: ObjectiveSet) -> ReferencePoint:
     am = build_arc_matrices(g)
     x_central = obj.centralized_solution()
     x_star = np.tile(x_central, (g.n_nodes, 1))
-    z_star = 0.5 * am.apply_mplus_t(x_star)
     grad = obj.gradient_stack(x_star)
     beta_star, *_ = np.linalg.lstsq(am.m_minus, -grad, rcond=None)
     residual = float(np.linalg.norm(grad + am.apply_mminus(beta_star)))
     scale = max(1.0, float(np.linalg.norm(grad)))
     if residual > 1e-8 * scale:
         raise ValueError(f"stationarity residual {residual:.3e} exceeds tolerance")
-    return ReferencePoint(x_star=x_star, z_star=z_star, beta_star=beta_star,
-                          x_central=x_central)
+    return ReferencePoint(x_star=x_star, beta_star=beta_star, x_central=x_central)
 
 
 def x_err_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
@@ -275,7 +269,6 @@ def run_decentralized(
     xs = np.empty((max_iter + 1, n_nodes, dim))
     xs[0] = x
     alphas = np.empty_like(xs) if full else None
-    beta0 = None if record == "light" else np.zeros((g.n_arcs, dim))
 
     # Every step works on same-shape (N, n) operands in preallocated
     # buffers: numpy's per-call cost, not arithmetic, sets the speed here.
@@ -313,8 +306,8 @@ def run_decentralized(
         rhs += w[1]
         x = np.einsum("nij,nj->ni", inv_ops, rhs, out=xs[k + 1])
 
-    return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta0,
-                      noise=model, mode=mode)
+    return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, noise=model,
+                      stream=stream, mode=mode)
 
 
 def run_matrix_form(
@@ -363,4 +356,4 @@ def run_matrix_form(
         alphas[k + 1] = alpha
 
     return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta_start,
-                      noise=model)
+                      noise=model, stream=stream)

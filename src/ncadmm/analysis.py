@@ -21,17 +21,17 @@ coefficient likewise comes in a square-root and a stated variant,
 sqrt(max_degree) resp. max_degree times the error norm.
 
 The arc-space quantities of a run are derived here, never stored, from
-a record that keeps the iterates, beta^0 and the error blocks (record
-"errors" or "full"; no function here reads the per-node duals): the arc
-variables
+the iterates of any record (no function here reads the per-node duals):
+the arc variables
 
     z^k    = 0.5 * Mplus.T x^k
-    beta^k = beta^{k-1} + (c/2) * Mminus.T x^k,   beta^0 = traj.beta0
+    beta^k = beta^{k-1} + (c/2) * Mminus.T x^k,   beta^0 = traj.beta0 (or 0)
 
-feed the squared G-norm c ||z^k - z*||^2 + ||beta^k - beta*||^2 / c
-(:func:`gnorm_series`), and the arc-space error e_z^k = 0.5 * Mplus.T e_x^k
-(:func:`derive_ez_block`, e_x^k from :meth:`ncadmm.admm.Trajectory.errors`)
-feeds the gate (:func:`error_gates`).  Both series walk the record in the
+feed the squared G-norm c ||z^k - x_c||^2 + ||beta^k - beta*||^2 / c
+(:func:`gnorm_series`; z* is x_c on every arc), and the arc-space error
+e_z^k = 0.5 * Mplus.T e_x^k (:func:`derive_ez_block`, e_x^k from
+:meth:`ncadmm.admm.Trajectory.errors`) feeds the gate
+(:func:`error_gates`).  Both series walk the record in the
 engine's blocks of iterations (:func:`ncadmm.admm.row_blocks` over the
 arcs), with one arc-operator call per block, so no (K+1, 2E, n) array is
 built.
@@ -195,13 +195,13 @@ def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
     iteration order (``np.cumsum`` is 8x slower on the audit's 5-row
     blocks), so every row equals the one-step formula bit for bit.
     Each iteration's squares are summed over its flattened (2E * n) arc
-    entries, as for one array.  Needs beta^0: record "errors" or "full".
+    entries, as for one array.
     """
-    if traj.beta0 is None:
-        raise ValueError("the G-norm needs the initial arc dual of a trajectory "
-                         "recorded with record='errors' or 'full'")
     am = build_arc_matrices(traj.graph)
     half_c = 0.5 * traj.c
+    # z* is x_c on every arc; a whole (2E, n) operand keeps the subtraction
+    # one long loop, where broadcasting the (n,) row would loop n at a time
+    z_star = np.tile(ref.x_central, (traj.graph.n_arcs, 1))
     out = np.empty(len(traj))
     beta = traj.beta0  # beta^{k-1} of the next block's first row
     for rows in row_blocks(len(traj), traj.graph.n_arcs):
@@ -213,11 +213,11 @@ def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
         if rows.start:
             np.add(beta, db[0], out=db[0])
         else:
-            db[0] = beta
+            db[0] = 0.0 if beta is None else beta
         for k in range(1, len(db)):
             np.add(db[k - 1], db[k], out=db[k])
         beta = db[-1].copy()
-        dz -= ref.z_star
+        dz -= z_star
         db -= ref.beta_star
         dz *= dz
         db *= db
@@ -242,7 +242,7 @@ def error_gates(traj: Trajectory, xerr: np.ndarray) -> np.ndarray:
     ``xerr`` is :func:`x_err_series` of the same run, K+1 entries; any
     other length is rejected.  e_z^k is the exact arc-space error derived
     from :meth:`~ncadmm.admm.Trajectory.errors`, one :func:`row_blocks`
-    block at a time, so the record must be "errors" or "full".
+    block at a time.
     """
     if np.shape(xerr) != (len(traj),):
         raise ValueError(f"xerr has shape {np.shape(xerr)}; the trajectory needs "

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -37,14 +36,6 @@ from .noise import RandomStream
 from .objective import make_problem  # noqa: F401
 from .topology import (GraphConnectivityError, build_arc_matrices,
                        gen_connected_graph, spectral_summary, write_edge_list)
-
-
-def _env_jobs() -> int:
-    text = os.environ.get("NCADMM_JOBS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"NCADMM_JOBS must be an integer, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,8 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
             source.add_argument("--full", action="store_true",
                                 help="use the large profile (200 nodes, 100 trials)")
             p.add_argument("--trials", type=int, help="override the trial count")
-            p.add_argument("--jobs", type=int,
-                           help="concurrent trials (env NCADMM_JOBS as fallback)")
+            p.add_argument("--jobs", type=int, default=1, help="concurrent trials (default 1)")
             p.add_argument("--csv", help="override output.csv_path")
             p.add_argument("--svg", help="override output.svg_path")
     return parser
@@ -229,13 +219,11 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    jobs = _env_jobs() if args.jobs is None else args.jobs
-    if jobs < 1:
-        source = "NCADMM_JOBS" if args.jobs is None else "--jobs"
-        raise ConfigError(f"{source} must be at least 1, got {jobs}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load_with_overrides(args)
     _check_out_paths(cfg.output.csv_path, cfg.output.svg_path or None)
-    result = run_experiment(cfg, jobs=jobs)
+    result = run_experiment(cfg, jobs=args.jobs)
     emit_csv(result, cfg.output.csv_path)
     print(f"wrote {cfg.output.csv_path} "
           f"({len(result.cells)} cells x {result.trials} trials, "

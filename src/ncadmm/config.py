@@ -128,7 +128,8 @@ class ExperimentConfig:
             raise ConfigError("output.csv_path must be set")
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="ascii")
+        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n",
+                              encoding="ascii", newline="")
 
 
 _type_hints = functools.cache(typing.get_type_hints)

@@ -31,7 +31,8 @@ realization, and Monte Carlo trials can run concurrently without shared
 state.  Because every lane is a pure function of its key, a draw over many
 iterations at once (an iteration array in :func:`lane_states` and
 :func:`sample_error_block`) holds exactly the values of the per-iteration
-draws; the engines use that to draw state-independent error in chunks.
+draws; the engines use that to draw state-independent error in chunks,
+and a run record to draw any block of it again.
 
 The models act on node messages only; their arc-space image e_z is
 derived in :mod:`ncadmm.analysis`.
@@ -247,8 +248,7 @@ def quantizer_error(x: np.ndarray, delta: float) -> np.ndarray:
     """``delta * round(x / delta) - x``, rounding half away from zero.
 
     Entry by entry, so a block of iterates gets each iterate's error bit for
-    bit: the record of a quantizer run derives its errors through this
-    function instead of storing them.
+    bit.
     """
     t = x / delta
     return delta * (np.sign(t) * np.floor(np.abs(t) + 0.5)) - x
@@ -260,21 +260,23 @@ def sample_error_block(
     stream: RandomStream,
     iteration: int | np.ndarray,
 ) -> np.ndarray:
-    """Error vectors for all rows of ``x_nodes`` (shape (N, n)) at once.
+    """Error vectors for all node rows of ``x_nodes``, shape (N, n) or (K, N, n).
 
     Row i uses the substream (seed, trial, cell, i, iteration).  With a 1-D
     array of K iterations the result has shape (K, N, n), and slice k
-    equals the call at ``iteration[k]``; the quantizer does not depend on
-    the iteration, so its slices repeat.
+    equals the call at ``iteration[k]``.  The keyed kinds read only the
+    last two axes of ``x_nodes``; the quantizer takes each iterate's error,
+    so a (K, N, n) block gives slice k from ``x_nodes[k]``, and one (N, n)
+    iterate repeats over the iterations.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
-    n_rows, dim = x_nodes.shape
-    shape = np.shape(iteration) + x_nodes.shape
+    n_rows, dim = x_nodes.shape[-2:]
+    shape = np.shape(iteration) + (n_rows, dim)
     if model.kind == "none":
         return np.zeros(shape)
     if model.kind == "quantizer":
         error = quantizer_error(x_nodes, model.delta)
-        return error if np.ndim(iteration) == 0 else np.broadcast_to(error, shape).copy()
+        return error if error.shape == shape else np.broadcast_to(error, shape).copy()
 
     normals = polar_normals(lane_states(stream, np.arange(n_rows), iteration), dim)
     if model.kind == "gaussian":

@@ -351,7 +351,7 @@ def write_edge_list(g: Graph, path) -> None:
     """Write the `N E` header plus one 0-based `i j` line per edge."""
     lines = [f"{g.n_nodes} {g.n_edges}"]
     lines += [f"{i} {j}" for i, j in g.edges.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
 
 
 def read_edge_list(path) -> Graph:

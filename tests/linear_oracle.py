@@ -72,6 +72,35 @@ def transition(g, obj, c: float) -> np.ndarray:
     return np.vstack([ax, np.hstack([np.zeros_like(h), np.eye(len(h))]) + c * (deg - adj) @ ax])
 
 
+def gnorm_rate(g, obj, c: float) -> float:
+    """rho_G, the largest one-step ratio of the squared G-norm under the noiseless map.
+
+    In deviation coordinates (x~, w~) from the fixed point, with the arc
+    dual beta = Mminus^T w (so alpha = 2 L w), the map is
+
+        x~+ = H^-1 (c Q x~ - 2 L w~),   w~+ = w~ + (c/2) x~+,
+
+    and the squared G-norm c ||z - z*||^2 + ||beta - beta*||^2 / c is the
+    quadratic form of G = blockdiag((c/2) Q, (2/c) L), because
+    Mplus Mplus^T = 2Q and Mminus Mminus^T = 2L.  G's null space (L's
+    consensus directions and, on a bipartite graph, Q's null vector) is
+    carried into itself, where the norm is zero, so both blocks are
+    restricted to G's range; rho_G is the largest generalized eigenvalue
+    of (A^T G A, G) there.
+    """
+    h, deg, adj, _ = operators(g, obj, c)
+    q, lap = deg + adj, deg - adj
+    h_inv = np.linalg.inv(h)
+    ax = np.hstack([c * h_inv @ q, -2.0 * h_inv @ lap])
+    a = np.vstack([ax, np.hstack([np.zeros_like(h), np.eye(len(h))]) + 0.5 * c * ax])
+    zero = np.zeros_like(h)
+    g_form = np.block([[0.5 * c * q, zero], [zero, (2.0 / c) * lap]])
+    weights, basis = np.linalg.eigh(g_form)
+    keep = weights > 1e-10 * weights.max()
+    basis = basis[:, keep] / np.sqrt(weights[keep])
+    return float(np.linalg.eigvalsh(basis.T @ a.T @ g_form @ a @ basis).max())
+
+
 def exact_rate(g, obj, c: float) -> float:
     """rho(A) over the modes other than the n unit ones (the dual's consensus direction).
 
@@ -115,23 +144,55 @@ def quantizer_point(g, obj, c: float, delta: float, steps: int = 100):
     return None
 
 
+def noise_input(g, obj, c: float):
+    """(f, B): the analysis_faithful map is s+ = A s + f + B e on s = (x, alpha).
+
+    From the recursion, f = (H^-1 b, c L H^-1 b) and B = (c H^-1 Q, c L c H^-1 Q).
+    """
+    h, deg, adj, rhs = operators(g, obj, c)
+    lap = deg - adj
+    f_x = np.linalg.solve(h, rhs)
+    b_x = c * np.linalg.solve(h, deg + adj)
+    return np.concatenate([f_x, c * lap @ f_x]), np.vstack([b_x, c * lap @ b_x])
+
+
+def mean_square_curve(g, obj, c: float, noise_var: float, n_iter: int, x_star):
+    """E||x_k - x*||^2 for k = 0..n_iter of the analysis_faithful run from x = alpha = 0.
+
+    Error independent across nodes, entries and iterations, with covariance
+    ``noise_var`` * I per message: the state's mean and covariance propagate
+    as m+ = A m + f and P+ = A P A^T + noise_var B B^T from m = P = 0, and
+    E||x_k - x*||^2 = ||m_x - x*||^2 + trace(P_x).  Broadcast is not
+    covered: its state also carries e_{k+1}.
+    """
+    a = transition(g, obj, c)
+    f, b = noise_input(g, obj, c)
+    side = len(f) // 2
+    drive = noise_var * (b @ b.T)
+    m, p = np.zeros(len(f)), np.zeros((len(f), len(f)))
+    out = np.empty(n_iter + 1)
+    for k in range(n_iter + 1):
+        d = m[:side] - np.reshape(x_star, -1)
+        out[k] = d @ d + np.trace(p[:side, :side])
+        m = a @ m + f
+        p = a @ p @ a.T + drive
+    return out
+
+
 def steady_covariance(g, obj, c: float, noise_var: float, doublings: int = 64):
     """The steady covariance P of the analysis_faithful state (x, alpha), side 2Nn.
 
     Error independent across nodes, entries and iterations, with covariance
-    ``noise_var`` * I per message, enters as s+ = A s + B e with
-    B = [c H^-1 Q; c L c H^-1 Q], so P solves the Stein equation
-    P = A P A^T + noise_var B B^T.  A's n unit modes (x = 1 (x) u,
-    alpha_i = -gram_i u; left vectors (0, 1 (x) v)) are projected out:
-    B has no component on them, since 1^T L = 0.  P is then the sum over
-    k of noise_var A^k B B^T (A^k)^T, built by Smith doubling until
-    A^(2^j) is below 1e-20.
+    ``noise_var`` * I per message, enters through :func:`noise_input`'s B,
+    so P solves the Stein equation P = A P A^T + noise_var B B^T.  A's n
+    unit modes (x = 1 (x) u, alpha_i = -gram_i u; left vectors
+    (0, 1 (x) v)) are projected out: B has no component on them, since
+    1^T L = 0.  P is then the sum over k of noise_var A^k B B^T (A^k)^T,
+    built by Smith doubling until A^(2^j) is below 1e-20.
     Broadcast is not covered: its state also carries e_{k+1}.
     """
-    h, deg, adj, _ = operators(g, obj, c)
     n_nodes, dim = obj.rhs.shape
-    b_x = c * np.linalg.solve(h, deg + adj)
-    b = np.vstack([b_x, c * (deg - adj) @ b_x])
+    _, b = noise_input(g, obj, c)
     units = np.kron(np.ones((n_nodes, 1)), np.eye(dim))
     right = np.vstack([units, -obj.grams.reshape(-1, dim)])
     left = np.vstack([np.zeros_like(units), units])

@@ -18,10 +18,17 @@ def small_setup(seed=0, n_nodes=8, rho=0.4, design="well_conditioned"):
     return g, obj
 
 
+def initial_dual(traj):
+    """beta^0 of a record: the stored array, or zeros where the engine started from none."""
+    if traj.beta0 is not None:
+        return traj.beta0
+    return np.zeros((traj.graph.n_arcs, traj.xs.shape[2]))
+
+
 def per_step_arc_states(traj):
     """(z^k, beta^k) for k = 0..K, one iteration at a time, gathered by fancy indexing."""
     am = build_arc_matrices(traj.graph)
-    beta = traj.beta0
+    beta = initial_dual(traj)
     for k, x in enumerate(traj.xs):
         if k:
             beta = beta + (0.5 * traj.c) * (x[am.tail] - x[am.head])
@@ -42,7 +49,6 @@ class TestReferencePoint:
         grad = obj.gradient_stack(ref.x_star)
         assert np.linalg.norm(grad + am.apply_mminus(ref.beta_star)) < 1e-8
         assert np.linalg.norm(am.apply_mminus_t(ref.x_star)) == 0.0
-        assert np.array_equal(0.5 * am.apply_mplus_t(ref.x_star), ref.z_star)
 
     def test_off_optimum_point_fails_stationarity(self, monkeypatch):
         # no dual solves M- beta = -grad f away from the centralized solution
@@ -53,9 +59,11 @@ class TestReferencePoint:
             reference_point(g, obj)
 
     def test_z_star_is_consensus_on_every_arc(self):
+        """z* = 0.5 * Mplus.T x* is x_c on every arc, bit for bit, so the G-norm subtracts x_c."""
         g, obj = small_setup(2)
         ref = reference_point(g, obj)
-        assert np.allclose(ref.z_star, ref.x_central, atol=1e-14)
+        z_star = 0.5 * build_arc_matrices(g).apply_mplus_t(ref.x_star)
+        assert np.array_equal(z_star, np.broadcast_to(ref.x_central, z_star.shape))
 
     def test_noiseless_observations_recover_truth(self):
         g = gen_connected_graph(6, 0.5, seed=3)
@@ -110,7 +118,7 @@ class TestGnormDistance:
             traj = run_matrix_form(g, obj, c, NoiseModel.gaussian(0.1), 5,
                                    RandomStream(seed=2))
             zs, betas = arc_history(traj)
-            dz = float(np.sum((zs[5] - ref.z_star) ** 2))
+            dz = float(np.sum((zs[5] - ref.x_central) ** 2))
             db = float(np.sum((betas[5] - ref.beta_star) ** 2))
             assert gnorm_series(traj, ref)[5] == pytest.approx(c * dz + db / c)
 
@@ -258,11 +266,11 @@ class TestChunkedDraws:
         xs, alphas, e_xs = per_iteration_decentralized(g, obj, 0.3, model, mode, max_iter,
                                                        stream)
         assert np.array_equal(traj.xs, xs)
-        if record == "light":
-            assert traj.alphas is None and traj.e_xs is None and traj.beta0 is None
-            return
-        assert np.array_equal(traj.alphas, alphas)
         assert np.array_equal(traj.errors(slice(0, max_iter)), e_xs)
+        if record == "light":
+            assert traj.alphas is None and traj.e_xs is None
+        else:
+            assert np.array_equal(traj.alphas, alphas)
 
     @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
@@ -316,9 +324,9 @@ class TestChunkedDraws:
         else:
             traj = run_decentralized(g, obj, 0.3, model, engine, 100, stream)
         am = build_arc_matrices(g)
-        dz = 0.5 * am.apply_mplus_t(traj.xs) - ref.z_star
+        dz = 0.5 * am.apply_mplus_t(traj.xs) - ref.x_central
         steps = (0.5 * traj.c) * am.apply_mminus_t(traj.xs[1:])
-        db = np.cumsum(np.concatenate([traj.beta0[None], steps]), axis=0) - ref.beta_star
+        db = np.cumsum(np.concatenate([initial_dual(traj)[None], steps]), axis=0) - ref.beta_star
         gnorm = traj.c * np.sum(dz * dz, axis=(1, 2)) + np.sum(db * db, axis=(1, 2)) / traj.c
         assert np.array_equal(gnorm_series(traj, ref), gnorm)
 
@@ -388,7 +396,7 @@ class TestErrorRecord:
             assert traj.e_xs is None
         else:
             assert traj.e_xs.shape == (traj.n_messages, g.n_nodes, 3)
-        assert traj.beta0 is not None
+        assert traj.beta0 is None  # the engine starts from the zero dual
 
     @pytest.mark.parametrize("record", ["light", "errors", "full"])
     def test_none_errors_are_zeros_at_any_record(self, instance, record):
@@ -402,13 +410,14 @@ class TestErrorRecord:
 
     @pytest.mark.parametrize("model", [NoiseModel.gaussian(1e-2), NoiseModel.fixed_norm(1e-2)],
                              ids=lambda m: m.kind)
-    def test_light_record_of_a_drawn_kind_has_no_errors(self, instance, model):
+    def test_light_record_of_a_drawn_kind_derives_its_errors(self, instance, model):
         g, obj = instance
-        traj = run_decentralized(g, obj, 0.3, model, BROADCAST, 10, RandomStream(seed=30),
-                                 record="light")
-        with pytest.raises(ValueError, match="record='errors' or 'full'") as err:
-            traj.errors(slice(0, 5))
-        assert "\n" not in str(err.value)
+        light, kept = (run_decentralized(g, obj, 0.3, model, BROADCAST, 10,
+                                         RandomStream(seed=30), record=record)
+                       for record in ("light", "errors"))
+        assert light.e_xs is None
+        for rows in (slice(None), slice(3, 7), slice(10, 11)):
+            assert np.array_equal(light.errors(rows), kept.errors(rows)), rows
 
     def test_light_quantizer_record_derives_its_errors(self, instance):
         g, obj = instance
@@ -423,7 +432,7 @@ def per_step_gnorm(traj, ref):
     """The per-iteration gnorm loop that the blocked series replaced."""
     out = np.empty(len(traj))
     for k, (z, beta) in enumerate(per_step_arc_states(traj)):
-        dz = z - ref.z_star
+        dz = z - ref.x_central
         db = beta - ref.beta_star
         out[k] = traj.c * np.sum(dz * dz) + np.sum(db * db) / traj.c
     return out
@@ -632,16 +641,17 @@ class TestValidationAndRecording:
                               10, RandomStream(seed=1))
 
     def test_light_record_drops_internals(self):
+        """A light record keeps x alone and still derives the G-norm and the gate."""
         g, obj = small_setup(18)
-        traj = run_decentralized(g, obj, 0.5, NoiseModel.none(), ANALYSIS_FAITHFUL,
-                                 10, RandomStream(seed=12), record="light")
-        with pytest.raises(ValueError, match="full"):
-            gnorm_series(traj, reference_point(g, obj))
-        # zero error needs no record; a drawn kind's gate does
-        traj = run_decentralized(g, obj, 0.5, NoiseModel.gaussian(1e-2), ANALYSIS_FAITHFUL,
-                                 10, RandomStream(seed=12), record="light")
-        with pytest.raises(ValueError, match="full"):
-            error_gates(traj, np.zeros(len(traj)))
+        ref = reference_point(g, obj)
+        light, full = (run_decentralized(g, obj, 0.5, NoiseModel.gaussian(1e-2),
+                                         ANALYSIS_FAITHFUL, 10, RandomStream(seed=12),
+                                         record=record)
+                       for record in ("light", "full"))
+        assert light.alphas is None and light.e_xs is None and light.beta0 is None
+        assert np.array_equal(gnorm_series(light, ref), gnorm_series(full, ref))
+        xerr = x_err_series(full, ref)
+        assert np.array_equal(error_gates(light, xerr), error_gates(full, xerr))
 
     def test_light_and_full_share_x_path(self):
         g, obj = small_setup(19)
@@ -669,7 +679,6 @@ class TestValidationAndRecording:
         xs = rng.standard_normal((40, 12, dim)) * rng.choice([1e-9, 1.0, 1e6], (40, 12, dim))
         x_star = np.tile(rng.standard_normal(dim), (12, 1))
         traj = Trajectory(graph=g, c=0.5, xs=xs, alphas=None, e_xs=None, beta0=None)
-        ref = ReferencePoint(x_star=x_star, z_star=None, beta_star=None,
-                             x_central=x_star[0])
+        ref = ReferencePoint(x_star=x_star, beta_star=None, x_central=x_star[0])
         d = xs - x_star
         assert np.array_equal(x_err_series(traj, ref), np.sqrt(np.sum(d * d, axis=(1, 2))))

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncadmm.admm import (ANALYSIS_FAITHFUL, ReferencePoint, Trajectory, reference_point,
+from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, ReferencePoint, Trajectory, reference_point,
                          run_decentralized, run_matrix_form, x_err_series)
 from ncadmm.analysis import (MU_GRID, audit_contraction, edc_metric,
                              error_gates, gnorm_series, optimize_delta,
@@ -372,6 +373,57 @@ class TestEdcMetric:
             edc_metric(traj, np.zeros(3))
 
 
+class TestLightRecord:
+    """A light record answers every series from the keyed stream, bit for bit the kept record's.
+
+    N=20, rho=0.3 (114 arcs): the series walk 71-iteration blocks while the
+    engine drew 409-iteration chunks, so K=150 re-draws across block edges
+    the engine never had.
+    """
+
+    KINDS = [NoiseModel.none(), NoiseModel.gaussian(1e-3),
+             NoiseModel.quantizer(1e-3), NoiseModel.fixed_norm(1e-3)]
+    MAX_ITER = 150
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        g, obj, spec, c = certified_setup(7, n_nodes=20)
+        mu, _ = optimize_delta(spec, obj.m_f, obj.M_f, c)
+        report = theory_constants(spec, obj.m_f, obj.M_f, c, mu)
+        return g, obj, c, reference_point(g, obj), report
+
+    @staticmethod
+    def assert_same_answers(light, kept, ref, report):
+        assert light.e_xs is None and light.alphas is None
+        assert np.array_equal(light.errors(slice(None)), kept.errors(slice(None)))
+        assert np.array_equal(gnorm_series(light, ref), gnorm_series(kept, ref))
+        xerr = x_err_series(kept, ref)
+        assert np.array_equal(error_gates(light, xerr), error_gates(kept, xerr))
+        audits = [audit_contraction(traj, ref, report) for traj in (light, kept)]
+        for name in ("ratios", "gates", "skipped", "checked", "x_bound_slack",
+                     "contraction_violated", "x_bound_violated", "bound"):
+            np.testing.assert_array_equal(*(getattr(a, name) for a in audits), err_msg=name)
+
+    @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
+    @pytest.mark.parametrize("model", KINDS, ids=lambda m: m.kind)
+    def test_decentralized(self, instance, model, mode):
+        g, obj, c, ref, report = instance
+        light, kept = (run_decentralized(g, obj, c, model, mode, self.MAX_ITER,
+                                         RandomStream(seed=8, trial=1, cell=2), record=record)
+                       for record in ("light", "errors"))
+        if model.kind in ("gaussian", "fixed_norm"):
+            assert kept.e_xs is not None
+        self.assert_same_answers(light, kept, ref, report)
+
+    @pytest.mark.parametrize("model", KINDS, ids=lambda m: m.kind)
+    def test_matrix_form(self, instance, model):
+        g, obj, c, ref, report = instance
+        kept = run_matrix_form(g, obj, c, model, self.MAX_ITER,
+                               RandomStream(seed=9, trial=1, cell=2))
+        light = replace(kept, alphas=None, e_xs=None)
+        self.assert_same_answers(light, kept, ref, report)
+
+
 def test_audit_series_build_no_arc_history():
     """gnorm, ||x - x*|| and the gate stream over k: the peak stays near one x history.
 
@@ -409,8 +461,7 @@ def test_distance_series_build_no_history_copy(series):
     d = xs - point
     if series == "x_err_series":
         fn = x_err_series
-        arg = ReferencePoint(x_star=np.tile(point, (20, 1)), z_star=None, beta_star=None,
-                             x_central=point)
+        arg = ReferencePoint(x_star=np.tile(point, (20, 1)), beta_star=None, x_central=point)
         whole = np.sqrt(np.sum(d * d, axis=(1, 2)))
     else:
         fn, arg = edc_metric, point

@@ -132,13 +132,9 @@ class TestGenGraph:
 
 
 class TestJobsEnvironment:
-    def test_invalid_value_is_one_line_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("NCADMM_JOBS", "x")
-        assert main(["experiment"]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: NCADMM_JOBS must be an integer, got 'x'\n"
+    """``--jobs`` alone sets the worker count; NCADMM_JOBS, its old fallback, is not read."""
 
-    def test_value_sets_default_jobs(self, monkeypatch, tmp_path):
+    def test_environment_leaves_default_jobs_at_one(self, monkeypatch, tmp_path):
         monkeypatch.setenv("NCADMM_JOBS", "3")
         seen = []
 
@@ -148,23 +144,18 @@ class TestJobsEnvironment:
 
         monkeypatch.setattr(cli, "run_experiment", stop_before_the_sweep)
         assert main(["experiment", "--config", str(small_config(tmp_path))]) == 1
-        assert seen == [3]
+        assert seen == [1]
 
-    @pytest.mark.parametrize("env, flag, err", [
-        (None, "0", "error: --jobs must be at least 1, got 0\n"),
-        (None, "-2", "error: --jobs must be at least 1, got -2\n"),
-        ("0", None, "error: NCADMM_JOBS must be at least 1, got 0\n"),
+    @pytest.mark.parametrize("flag, err", [
+        ("0", "error: --jobs must be at least 1, got 0\n"),
+        ("-2", "error: --jobs must be at least 1, got -2\n"),
     ])
     def test_nonpositive_jobs_fail_before_the_sweep(self, monkeypatch, tmp_path, capsys,
-                                                     env, flag, err):
-        if env is None:
-            monkeypatch.delenv("NCADMM_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("NCADMM_JOBS", env)
+                                                     flag, err):
         seen = []
         monkeypatch.setattr(cli, "run_experiment", lambda cfg, jobs=1, quiet=False: seen.append(jobs))
-        argv = ["experiment", "--config", str(small_config(tmp_path))]
-        assert main(argv + (["--jobs", flag] if flag else [])) == 1
+        argv = ["experiment", "--config", str(small_config(tmp_path)), "--jobs", flag]
+        assert main(argv) == 1
         assert seen == []
         assert capsys.readouterr() == ("", err)
 
@@ -319,8 +310,7 @@ class TestCellRecord:
     @pytest.mark.parametrize("model", ["gaussian", "fixed_norm", "quantizer"])
     def test_no_dual_history(self, tmp_path, model):
         traj = cli._cell_run(*self.cell_instance(tmp_path, model))[0]
-        assert traj.alphas is None
-        assert traj.beta0 is not None
+        assert traj.alphas is None and traj.beta0 is None
         if model == "quantizer":
             assert traj.e_xs is None
         else:

@@ -54,3 +54,43 @@ def private_imports(path):
 def test_no_private_imports(path):
     """A module's underscore names, such as admm's block size, stay behind it."""
     assert private_imports(path) == []
+
+
+def unpinned_text_writes(path):
+    """Lines of text writes (``write_text``, ``open`` for writing) that leave ``newline`` unset.
+
+    Without ``newline=""`` a text write on a platform whose line separator
+    is not LF turns every "\\n" into that separator.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        if name == "write_text":
+            writes = True
+        elif name == "open":
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            writes = (isinstance(mode, ast.Constant) and "b" not in mode.value
+                      and any(flag in mode.value for flag in "wax"))
+        else:
+            writes = False
+        if writes and "newline" not in keywords:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_text_writes_pin_newline(path):
+    """Every file the package writes ends its lines in LF on any platform."""
+    assert unpinned_text_writes(path) == []
+
+
+def test_no_environment_reads():
+    """Flags and config files are the only knobs: no module reads the environment."""
+    reads = sorted(f"{path.stem}:{node.lineno}" for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+    assert reads == []

@@ -9,8 +9,12 @@ included, is compared.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linear_oracle import exact_rate, quantizer_point, replay, steady_covariance
+from linear_oracle import (exact_rate, gnorm_rate, mean_square_curve, quantizer_point,
+                           replay, steady_covariance)
+from ncadmm.analysis import gnorm_series
 from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, reference_point, run_decentralized,
                          run_matrix_form, x_err_series)
 from ncadmm.analysis import optimize_delta, steady_state_check
@@ -80,6 +84,41 @@ def test_exact_rate_is_the_measured_noiseless_rate(seed):
     assert rate**2 <= 1.0 / (1.0 + delta)
 
 
+# Rounding in a measured ratio stays near 1e-8 while the G-norm is above
+# 1e-10 of its start: the deviation is then 1e-5 of x*, and beta*'s
+# least-squares error is about 1e-13 of it.
+RATE_TOL = 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_nodes=st.integers(6, 16), rho=st.floats(0.3, 0.7), seed=st.integers(0, 2**16),
+       fraction=st.floats(0.01, 1.0))
+def test_certificate_bounds_the_exact_gnorm_factor(n_nodes, rho, seed, fraction):
+    """rho(A)^2 <= rho_G <= the certified factor, and no noiseless step beats rho_G.
+
+    c = fraction * 2 m_f / max(sigma_+^2, sigma_+), where both certificate
+    conditions hold.  rho_G is the worst one-step ratio of the squared
+    G-norm over all states, so every measured ratio of a noiseless run
+    (K=300, while the G-norm stays above 1e-10 of its start) lies under it,
+    and a sound certificate lies above it.  Failing the upper check is a
+    certificate defect, not a tolerance to widen.
+    """
+    g = gen_connected_graph(n_nodes, rho, seed=seed)
+    obj, _ = make_problem(n_nodes, 3, 1e-3, "well_conditioned", seed=seed + 1)
+    spec = spectral_summary(build_arc_matrices(g))
+    sp = spec.sigma_max_mplus
+    c = fraction * 2.0 * obj.m_f / max(sp**2, sp)
+    rho_g = gnorm_rate(g, obj, c)
+    _, delta = optimize_delta(spec, obj.m_f, obj.M_f, c)
+    assert exact_rate(g, obj, c) ** 2 <= rho_g + RATE_TOL
+    assert 1.0 / (1.0 + delta) >= rho_g - RATE_TOL
+    traj = run_decentralized(g, obj, c, NoiseModel.none(), ANALYSIS_FAITHFUL, 300,
+                             RandomStream(seed=1), record="light")
+    gnorm = gnorm_series(traj, reference_point(g, obj))
+    above = gnorm[:-1] > 1e-10 * gnorm[0]
+    assert np.all(gnorm[1:][above] / gnorm[:-1][above] <= rho_g + RATE_TOL)
+
+
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("n_nodes, rho, max_iter", [(20, 0.3, 3000), (50, 0.1, 6000)],
                          ids=["N20", "N50"])
@@ -137,33 +176,82 @@ def test_audit_workload_plateau_is_the_quantizer_point():
     assert xerr[1000] > 1.25 * plateau
 
 
-def test_fixed_norm_tail_sits_at_the_steady_floor():
-    """Criterion 6's shape: the measured floor is trace(P_x), far under both corollary bounds.
-
-    N=20, rho=0.3, c = 2 m_f / max(sigma_+^2, sigma_+); fixed_norm error of
-    per-node norm sigma/sqrt(N) has covariance sigma^2/(N n) I per node.
-    Over the last 9,000 iterations of one K=10,000 run, the mean of
-    ||x_k - x*||^2 in 20 batches brackets trace(P_x) at the 99% t level
-    (19 degrees of freedom).  sqrt(trace(P_x)) is about 5% of
-    sqrt(d_max) sigma and 1.7% of d_max sigma, the bound that
-    ``steady_state_check`` holds the tail to.
-    """
+def steady_instance():
+    """Criterion 6's shape: N=20, rho=0.3, seeds 300/7000, c = 2 m_f / max(sigma_+^2, sigma_+)."""
     g = gen_connected_graph(20, 0.3, seed=300)
     obj, _ = make_problem(20, 3, 1e-3, "well_conditioned", seed=7000)
     sp = spectral_summary(build_arc_matrices(g)).sigma_max_mplus
-    c = 2.0 * obj.m_f / max(sp**2, sp)
-    sigma, n_iter = 1e-2, 10_000
-    p = steady_covariance(g, obj, c, sigma**2 / (20 * 3))
+    return g, obj, 2.0 * obj.m_f / max(sp**2, sp)
+
+
+def check_tail_at_floor(model, noise_var, sigma):
+    """One K=10,000 run's tail mean of ||x_k - x*||^2 brackets trace(P_x).
+
+    Over the last 9,000 iterations, the mean in 20 batches must hold
+    trace(P_x) at the 99% t level (19 degrees of freedom), and
+    sqrt(trace(P_x)) must sit under the d_max sigma bound that
+    ``steady_state_check`` holds the tail to.
+    """
+    g, obj, c = steady_instance()
+    p = steady_covariance(g, obj, c, noise_var)
     floor = np.trace(p[:60, :60])
     ref = reference_point(g, obj)
-    traj = run_decentralized(g, obj, c, NoiseModel.fixed_norm(sigma / np.sqrt(20)),
-                             ANALYSIS_FAITHFUL, n_iter, RandomStream(seed=0), record="light")
+    traj = run_decentralized(g, obj, c, model, ANALYSIS_FAITHFUL, 10_000,
+                             RandomStream(seed=0), record="light")
     tail = x_err_series(traj, ref)[-9000:] ** 2
     batches = tail.reshape(20, -1).mean(axis=1)
     half_width = 2.861 * batches.std(ddof=1) / np.sqrt(20)
     assert abs(batches.mean() - floor) <= half_width
     res = steady_state_check(traj, ref, sigma, g)
     assert np.sqrt(floor) <= res.bound_stated
-    print(f"\n[steady floor] sqrt(trace P_x) = {np.sqrt(floor):.4e}: "
+    print(f"\n[steady floor, {model.kind}] sqrt(trace P_x) = {np.sqrt(floor):.4e}: "
           f"{np.sqrt(floor) / res.bound_sqrt:.4f} of bound_sqrt, "
           f"{np.sqrt(floor) / res.bound_stated:.4f} of bound_stated")
+
+
+def test_fixed_norm_tail_sits_at_the_steady_floor():
+    """Criterion 6's shape: the measured floor is trace(P_x), far under both corollary bounds.
+
+    fixed_norm error of per-node norm sigma/sqrt(N) has covariance
+    sigma^2/(N n) I per node.  sqrt(trace(P_x)) is about 5% of
+    sqrt(d_max) sigma and 1.7% of d_max sigma.
+    """
+    sigma = 1e-2
+    check_tail_at_floor(NoiseModel.fixed_norm(sigma / np.sqrt(20)), sigma**2 / 60, sigma)
+
+
+def test_gaussian_tail_sits_at_the_steady_floor():
+    """The same floor under gaussian error: Sigma = sigma_e^2 I per node, sigma_e = sigma/sqrt(N n).
+
+    Its stacked norm is sigma in mean square only, so ``steady_state_check``
+    reads sigma as the error scale.
+    """
+    sigma = 1e-2
+    check_tail_at_floor(NoiseModel.gaussian(sigma / np.sqrt(60)), sigma**2 / 60, sigma)
+
+
+def test_gaussian_mean_square_curve_matches_monte_carlo():
+    """The propagated E||x_k - x*||^2 against 200 Monte Carlo runs, k = 0..200.
+
+    Criterion 6's instance with gaussian error of Sigma = sigma_e^2 I per
+    node, sigma_e = 1e-2 / sqrt(N n): the curve falls from ||x*||^2 = 116
+    through the transient into the floor (within 2x of it from k = 95).
+    At k = 0 every run starts at x = 0, so the mean is exact; at every
+    later k the 200-run mean lies within 4.5 standard errors of the curve
+    (Bonferroni over 200 points puts the family level near 1e-3).
+    """
+    g, obj, c = steady_instance()
+    ref = reference_point(g, obj)
+    sigma_e, n_iter, runs = 1e-2 / np.sqrt(60), 200, 200
+    exact = mean_square_curve(g, obj, c, sigma_e**2, n_iter, ref.x_star)
+    squares = np.stack([
+        x_err_series(run_decentralized(g, obj, c, NoiseModel.gaussian(sigma_e),
+                                       ANALYSIS_FAITHFUL, n_iter, RandomStream(seed=0, trial=t),
+                                       record="light"), ref) ** 2
+        for t in range(runs)])
+    mean = squares.mean(axis=0)
+    std_err = squares.std(axis=0, ddof=1) / np.sqrt(runs)
+    assert mean[0] == pytest.approx(exact[0], rel=1e-12)
+    assert np.all(np.abs(mean[1:] - exact[1:]) <= 4.5 * std_err[1:])
+    print(f"\n[mean-square curve] Monte Carlo / exact in "
+          f"[{np.min(mean / exact):.4f}, {np.max(mean / exact):.4f}]")

@@ -312,6 +312,17 @@ class TestDeterminism:
                     for k in iterations]
             assert np.array_equal(blk, np.stack(rows)), m.kind
 
+    def test_block_of_iterates_equals_per_iteration_stack(self):
+        """A (K, N, n) block of iterates: the quantizer reads each, keyed kinds only the shape."""
+        xs = np.linspace(-1.234, 2.345, 5 * 7 * 3).reshape(5, 7, 3)
+        iterations = np.arange(10, 15)
+        for m in (NoiseModel.gaussian(0.3), NoiseModel.fixed_norm(0.2),
+                  NoiseModel.quantizer(0.1), NoiseModel.none()):
+            blk = sample_error_block(m, xs, stream(trial=1, cell=3), iterations)
+            rows = [sample_error_block(m, x, stream(trial=1, cell=3), int(k))
+                    for x, k in zip(xs, iterations)]
+            assert np.array_equal(blk, np.stack(rows)), m.kind
+
     def test_fold_key_children_independent(self):
         assert fold_key(1, (10, 0)) != fold_key(1, (10, 1)) != fold_key(1, (11, 0))
 
