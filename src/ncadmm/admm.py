@@ -103,7 +103,8 @@ class Trajectory:
 
     - "light": the iterates ``xs`` (the Monte Carlo sweep);
     - "errors": also the drawn error blocks ``e_xs``, a cache that spares
-      ``run`` and ``audit`` a second draw;
+      ``run`` and ``audit`` a second draw (a gaussian ``run`` or ``audit``
+      at N=200, K=1000 that draws again takes 1.4-1.5x as long);
     - "full": also ``alphas``, the per-node dual the engine carried, an
       oracle for the tests only.
 
@@ -116,11 +117,11 @@ class Trajectory:
     graph: Graph
     c: float
     xs: np.ndarray                    # (K+1, N, n)
+    noise: NoiseModel
+    stream: RandomStream
     alphas: np.ndarray | None = None  # (K+1, N, n)
     e_xs: np.ndarray | None = None    # (messages, N, n), gaussian and fixed_norm only
     beta0: np.ndarray | None = None   # (2E, n)
-    noise: NoiseModel | None = None
-    stream: RandomStream | None = None
     mode: str = ANALYSIS_FAITHFUL
 
     def __len__(self) -> int:

@@ -678,7 +678,8 @@ class TestValidationAndRecording:
         g = gen_connected_graph(12, 0.4, seed=dim)
         xs = rng.standard_normal((40, 12, dim)) * rng.choice([1e-9, 1.0, 1e6], (40, 12, dim))
         x_star = np.tile(rng.standard_normal(dim), (12, 1))
-        traj = Trajectory(graph=g, c=0.5, xs=xs, alphas=None, e_xs=None, beta0=None)
+        traj = Trajectory(graph=g, c=0.5, xs=xs, noise=NoiseModel.none(),
+                          stream=RandomStream(seed=0))
         ref = ReferencePoint(x_star=x_star, beta_star=None, x_central=x_star[0])
         d = xs - x_star
         assert np.array_equal(x_err_series(traj, ref), np.sqrt(np.sum(d * d, axis=(1, 2))))

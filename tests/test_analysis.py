@@ -361,7 +361,8 @@ class TestEdcMetric:
         g = gen_connected_graph(12, 0.4, seed=dim)
         xs = rng.standard_normal((40, 12, dim)) * rng.choice([1e-9, 1.0, 1e6], (40, 12, dim))
         x_central = rng.standard_normal(dim)
-        traj = Trajectory(graph=g, c=0.5, xs=xs, alphas=None, e_xs=None, beta0=None)
+        traj = Trajectory(graph=g, c=0.5, xs=xs, noise=NoiseModel.none(),
+                          stream=RandomStream(seed=0))
         d = xs - x_central
         per_node = np.sqrt(np.sum(d * d, axis=2)) / float(np.linalg.norm(x_central))
         assert np.array_equal(edc_metric(traj, x_central), per_node.mean(axis=1))
@@ -457,7 +458,8 @@ def test_distance_series_build_no_history_copy(series):
     g = gen_connected_graph(20, 0.3, seed=3)
     xs = rng.standard_normal((5001, 20, 3)) * rng.choice([1e-9, 1.0, 1e6], (5001, 20, 3))
     point = rng.standard_normal(3)
-    traj = Trajectory(graph=g, c=0.5, xs=xs, alphas=None, e_xs=None, beta0=None)
+    traj = Trajectory(graph=g, c=0.5, xs=xs, noise=NoiseModel.none(),
+                      stream=RandomStream(seed=0))
     d = xs - point
     if series == "x_err_series":
         fn = x_err_series
