@@ -44,18 +44,19 @@ Gaussian, fixed-norm and zero error do not depend on x, so the engines
 draw one :func:`row_blocks` block of iterations (about 8192
 node-iterations) per :func:`sample_error_block` call, identical to
 per-iteration draws; quantizer error depends on x and is drawn per
-message.  ``run_decentralized`` takes one step per message, k = 0..K: the
-message of x^k (none for x^K in ``analysis_faithful`` mode), then the dual
-update for k >= 1, then the x-update for k < K.  Both modes run the same
-calls on the (2, N, n) stack [x^k, x^k + e^k]; the mode only picks which
-rows feed the own term and which the neighbor sum: both rows to both in
-``analysis_faithful`` (slices of one sum equal separate sums bit for bit),
-x^k to the own term and x^k + e^k to the sum in ``broadcast``, where that
-sum serves the dual update and the next x-update.  A run of K iterations
-takes K + 1 neighbor sums in either mode.
+message.  ``run_decentralized`` takes one step per message, k = 0..K-1:
+the message of x^k, then the dual update for k >= 1, then the x-update.
+Both modes run the same calls on the (2, N, n) stack [x^k, x^k + e^k];
+the mode only picks which rows feed the own term and which the neighbor
+sum: both rows to both in ``analysis_faithful`` (slices of one sum equal
+separate sums bit for bit), x^k to the own term and x^k + e^k to the sum
+in ``broadcast``, where that sum serves the dual update and the next
+x-update.  A run of K iterations takes K neighbor sums and K messages in
+either mode; it stops at x^K, so no message of x^K is sent and no dual
+alpha^K is formed.
 
 A :class:`Trajectory` holds only the engine state its reader needs (its
-docstring lists the three ``record`` levels).  The arc-space quantities
+docstring lists the two ``record`` levels).  The arc-space quantities
 derived from it (z, beta, e_z, the G-norm and the error gate) live in
 :mod:`ncadmm.analysis`.
 """
@@ -73,7 +74,7 @@ from .topology import Graph, build_arc_matrices
 ANALYSIS_FAITHFUL = "analysis_faithful"
 BROADCAST = "broadcast"
 PLACEMENT_MODES = (ANALYSIS_FAITHFUL, BROADCAST)
-RECORDS = ("light", "errors", "full")
+RECORDS = ("light", "errors")
 
 # Node-iterations per chunked draw: keyed-normal throughput plateaus from
 # about 4k lanes, and a chunk of 8k lanes peaks near 1.5 MB at any N
@@ -104,14 +105,12 @@ class Trajectory:
     - "light": the iterates ``xs`` (the Monte Carlo sweep);
     - "errors": also the drawn error blocks ``e_xs``, a cache that spares
       ``run`` and ``audit`` a second draw (a gaussian ``run`` or ``audit``
-      at N=200, K=1000 that draws again takes 1.4-1.5x as long);
-    - "full": also ``alphas``, the per-node dual the engine carried, an
-      oracle for the tests only.
+      at N=200, K=1000 that draws again takes 1.4-1.5x as long).
 
-    Message k carries iterate k, for k = 0..K-1 and, in broadcast mode,
-    k = K.  :meth:`errors` gives the error blocks on them from any record.
-    ``beta0`` is the initial arc dual, None for zero; with ``xs`` it gives
-    the arc variables (see :func:`ncadmm.analysis.gnorm_series`).
+    Message k carries iterate k, for k = 0..K-1; :meth:`errors` gives the
+    error blocks on them from either record.  ``beta0`` is the initial arc
+    dual, None for zero; with ``xs`` it gives the arc variables (see
+    :func:`ncadmm.analysis.gnorm_series`).
     """
 
     graph: Graph
@@ -119,10 +118,8 @@ class Trajectory:
     xs: np.ndarray                    # (K+1, N, n)
     noise: NoiseModel
     stream: RandomStream
-    alphas: np.ndarray | None = None  # (K+1, N, n)
-    e_xs: np.ndarray | None = None    # (messages, N, n), gaussian and fixed_norm only
+    e_xs: np.ndarray | None = None    # (K, N, n), gaussian and fixed_norm only
     beta0: np.ndarray | None = None   # (2E, n)
-    mode: str = ANALYSIS_FAITHFUL
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -130,11 +127,6 @@ class Trajectory:
     @property
     def n_iter(self) -> int:
         return self.xs.shape[0] - 1
-
-    @property
-    def n_messages(self) -> int:
-        """The perturbed messages: one per iterate but the last, which broadcast sends too."""
-        return self.n_iter + (self.mode == BROADCAST)
 
     def errors(self, rows: slice) -> np.ndarray:
         """The (len, N, n) error blocks on messages ``rows``, bit for bit the engine's.
@@ -144,9 +136,8 @@ class Trajectory:
         """
         if self.e_xs is not None:
             return self.e_xs[rows]
-        iterations = np.arange(self.n_messages)[rows]
-        return sample_error_block(self.noise, self.xs[:self.n_messages][rows], self.stream,
-                                  iterations)
+        iterations = np.arange(self.n_iter)[rows]
+        return sample_error_block(self.noise, self.xs[:-1][rows], self.stream, iterations)
 
 
 def reference_point(g: Graph, obj: ObjectiveSet) -> ReferencePoint:
@@ -202,7 +193,7 @@ def row_blocks(n_rows: int, lanes: int):
 def _error_source(model: NoiseModel, stream: RandomStream, shape: tuple, keep: bool):
     """``error(k, x)``, the error block on the messages carrying iterate k, and the kept draws.
 
-    ``shape`` is (messages, N, n).  Quantizer error is computed from x per
+    ``shape`` is (K, N, n).  Quantizer error is computed from x per
     request and never kept (the record derives it again).  Every other kind
     is drawn one :func:`row_blocks` block of iterations per call and, when
     ``keep``, a gaussian or fixed_norm block is stored once into the kept
@@ -246,7 +237,7 @@ def run_decentralized(
     mode: str,
     max_iter: int,
     stream: RandomStream,
-    record: str = "full",
+    record: str = "errors",
 ) -> Trajectory:
     """Run the per-node protocol for ``max_iter`` iterations.
 
@@ -263,13 +254,11 @@ def run_decentralized(
     am = build_arc_matrices(g)
     inv_ops = _solve_operators(g, obj, c)
 
-    full = record == "full"
     x = np.zeros((n_nodes, dim))
     alpha = np.zeros((n_nodes, dim))
 
     xs = np.empty((max_iter + 1, n_nodes, dim))
     xs[0] = x
-    alphas = np.empty_like(xs) if full else None
 
     # Every step works on same-shape (N, n) operands in preallocated
     # buffers: numpy's per-call cost, not arithmetic, sets the speed here.
@@ -282,16 +271,11 @@ def run_decentralized(
     w = np.empty((2, n_nodes, dim))
     rhs = np.empty((n_nodes, dim))
 
-    # one step per message of x^k, k = 0..K; broadcast also perturbs the
-    # message of the final iterate, analysis_faithful sends none for it
-    faithful = mode == ANALYSIS_FAITHFUL
-    own, msgs = (stack, stack) if faithful else (stack[:1], stack[1:])
-    n_draws = max_iter if faithful else max_iter + 1
-    error, e_xs = _error_source(model, stream, (n_draws, n_nodes, dim), record != "light")
-    for k in range(max_iter + 1):
-        e_k = error(k, x) if k < n_draws else 0.0
+    own, msgs = (stack, stack) if mode == ANALYSIS_FAITHFUL else (stack[:1], stack[1:])
+    error, e_xs = _error_source(model, stream, (max_iter, n_nodes, dim), record == "errors")
+    for k in range(max_iter):
         stack[0] = x
-        np.add(x, e_k, out=stack[1])
+        np.add(x, error(k, x), out=stack[1])
         nb = am.neighbor_sum(msgs)
         np.multiply(deg2, own, out=w)
         w[0] -= nb[0]
@@ -299,16 +283,11 @@ def run_decentralized(
         w *= c
         if k:
             alpha += w[0]
-        if full:
-            alphas[k] = alpha
-        if k == max_iter:
-            break
         np.subtract(obj.rhs, alpha, out=rhs)
         rhs += w[1]
         x = np.einsum("nij,nj->ni", inv_ops, rhs, out=xs[k + 1])
 
-    return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, noise=model,
-                      stream=stream, mode=mode)
+    return Trajectory(graph=g, c=c, xs=xs, e_xs=e_xs, noise=model, stream=stream)
 
 
 def run_matrix_form(
@@ -325,7 +304,7 @@ def run_matrix_form(
 
     Consumes the identical error realization as :func:`run_decentralized`
     for the same stream, which makes the two engines cross-validating
-    implementations of the same dynamics.  The record is always full.
+    implementations of the same dynamics.  The record is always "errors".
     ``beta0`` should lie in the row space of Mminus (the zero default does)
     for the certificates to apply.
     """
@@ -337,24 +316,18 @@ def run_matrix_form(
     x = np.zeros((n_nodes, dim)) if x0 is None else np.array(x0, dtype=float)
     beta = np.zeros((g.n_arcs, dim)) if beta0 is None else np.array(beta0, dtype=float)
     beta_start = beta
-    alpha = am.apply_mminus(beta)
 
     xs = np.empty((max_iter + 1, n_nodes, dim))
     xs[0] = x
-    alphas = np.empty_like(xs)
-    alphas[0] = alpha
 
     error, e_xs = _error_source(model, stream, (max_iter, n_nodes, dim), True)
     for k in range(max_iter):
         e_k = error(k, x)
         z_hat = 0.5 * am.apply_mplus_t(x + e_k)
-        rhs = obj.rhs - alpha + c * am.apply_mplus(z_hat)
+        rhs = obj.rhs - am.apply_mminus(beta) + c * am.apply_mplus(z_hat)
         x = np.einsum("nij,nj->ni", inv_ops, rhs)
         beta = beta + (0.5 * c) * am.apply_mminus_t(x)
-        alpha = am.apply_mminus(beta)
-
         xs[k + 1] = x
-        alphas[k + 1] = alpha
 
-    return Trajectory(graph=g, c=c, xs=xs, alphas=alphas, e_xs=e_xs, beta0=beta_start,
-                      noise=model, stream=stream)
+    return Trajectory(graph=g, c=c, xs=xs, e_xs=e_xs, beta0=beta_start, noise=model,
+                      stream=stream)

@@ -21,8 +21,7 @@ coefficient likewise comes in a square-root and a stated variant,
 sqrt(max_degree) resp. max_degree times the error norm.
 
 The arc-space quantities of a run are derived here, never stored, from
-the iterates of any record (no function here reads the per-node duals):
-the arc variables
+the iterates of either record: the arc variables
 
     z^k    = 0.5 * Mplus.T x^k
     beta^k = beta^{k-1} + (c/2) * Mminus.T x^k,   beta^0 = traj.beta0 (or 0)
@@ -344,9 +343,11 @@ def edc_metric(traj: Trajectory, x_central: np.ndarray) -> np.ndarray:
     denom = float(np.linalg.norm(x_central))
     if denom <= 0.0:
         raise ValueError("centralized estimate has zero norm; the metric is undefined")
+    # a whole (N, n) operand, as in gnorm_series
+    x_c = np.tile(x_central, (traj.xs.shape[1], 1))
     out = np.empty(len(traj))
     for rows in row_blocks(len(traj), traj.xs.shape[1]):
-        d = traj.xs[rows] - x_central
+        d = traj.xs[rows] - x_c
         d *= d
         per_node = sum_last_axis(d)  # (rows, N)
         np.sqrt(per_node, out=per_node)

@@ -37,31 +37,30 @@ def operators(g, obj, c: float):
 
 
 def replay(g, obj, c: float, mode: str, errors: np.ndarray):
-    """(xs, alphas), each (K+1, N, n), of the recursion driven by ``errors``.
+    """(xs, alphas): x^0..x^K and alpha^0..alpha^{K-1} of the K steps driven by ``errors``.
 
     Starts from x = alpha = 0.  ``errors[k]`` is the (N, n) error on the
-    messages carrying iterate k: K rows drive K analysis_faithful steps;
-    broadcast's alpha^K consumes e^K as well, so it takes K+1 rows.  Any
-    ``mode`` other than "analysis_faithful" is read as broadcast.
+    messages carrying iterate k, so K rows drive K steps in either
+    placement; alpha^K, which broadcast would form from e^K, is not formed.
+    Any ``mode`` other than "analysis_faithful" is read as broadcast.
     """
     h, deg, adj, b = operators(g, obj, c)
     h_inv, q, lap = np.linalg.inv(h), deg + adj, deg - adj
     faithful = mode == "analysis_faithful"
-    n_iter = len(errors) if faithful else len(errors) - 1
     e = errors.reshape(len(errors), -1)
     x, alpha = np.zeros_like(b), np.zeros_like(b)
-    xs, alphas = [x], [alpha]
-    for k in range(n_iter):
+    xs, alphas = [x], []
+    for k in range(len(errors)):
+        if k:  # alpha^k, from the messages of x^k
+            alpha = alpha + c * (lap @ x if faithful else deg @ x - adj @ (x + e[k]))
+        alphas.append(alpha)
         if faithful:
             x = h_inv @ (b - alpha + c * (q @ (x + e[k])))
-            alpha = alpha + c * (lap @ x)
         else:
             x = h_inv @ (b - alpha + c * (deg @ x + adj @ (x + e[k])))
-            alpha = alpha + c * (deg @ x - adj @ (x + e[k + 1]))
         xs.append(x)
-        alphas.append(alpha)
-    shape = (n_iter + 1, *obj.rhs.shape)
-    return np.reshape(xs, shape), np.reshape(alphas, shape)
+    shape = obj.rhs.shape
+    return np.reshape(xs, (-1, *shape)), np.reshape(alphas, (-1, *shape))
 
 
 def transition(g, obj, c: float) -> np.ndarray:

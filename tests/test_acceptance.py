@@ -26,7 +26,7 @@ from ncadmm.objective import make_problem
 from ncadmm.topology import (Graph, build_arc_matrices, gen_connected_graph,
                              spectral_summary)
 
-from test_admm import per_step_arc_states
+from test_admm import derive_alphas, per_step_arc_states
 
 # Decay-window instrument for the qualitative sweep checks: the window ends
 # at the last iteration above 10x the floor (floor = tail mean over the
@@ -97,7 +97,8 @@ def test_criterion_2_oracle_equivalence():
         model = models[t % len(models)]
         td = run_decentralized(g, obj, c, model, ANALYSIS_FAITHFUL, 200, stream)
         tm = run_matrix_form(g, obj, c, model, 200, stream)
-        for a, b in ((td.xs, tm.xs), (td.alphas, tm.alphas)):
+        duals = (derive_alphas(td, ANALYSIS_FAITHFUL), derive_alphas(tm, ANALYSIS_FAITHFUL))
+        for a, b in ((td.xs, tm.xs), duals):
             worst = max(worst, float(np.max(np.abs(a - b))))
         for (zd, bd), (zm, bm) in zip(per_step_arc_states(td), per_step_arc_states(tm)):
             worst = max(worst, float(np.max(np.abs(zd - zm))),

@@ -41,6 +41,22 @@ def arc_history(traj):
     return np.stack(zs), np.stack(betas)
 
 
+def derive_alphas(traj, mode):
+    """The per-node duals alpha^0..alpha^{K-1} of a run, by the per-node engine's own operations.
+
+    alpha^k = alpha^{k-1} + c (|N_i| x^k - sum_j m_j^k), with the message
+    m^k = x^k, or x^k + e^k in broadcast: the same neighbor sum, the same
+    rounding order, so a ``run_decentralized`` record gives its engine's
+    duals bit for bit.  H is invertible, so x^{k+1} pins alpha^k.
+    """
+    xs = traj.xs[1:-1]
+    msgs = xs if mode == ANALYSIS_FAITHFUL else np.add(xs, traj.errors(slice(1, traj.n_iter)))
+    w = traj.graph.degrees.astype(float)[:, None] * xs
+    w -= build_arc_matrices(traj.graph).neighbor_sum(msgs)
+    w *= traj.c
+    return np.concatenate([np.zeros_like(traj.xs[:1]), np.cumsum(w, axis=0)])
+
+
 class TestReferencePoint:
     def test_kkt_conditions(self):
         g, obj = small_setup(1)
@@ -133,7 +149,8 @@ class TestEngineEquivalence:
             td = run_decentralized(g, obj, 0.7, model, ANALYSIS_FAITHFUL, 150, stream)
             tm = run_matrix_form(g, obj, 0.7, model, 150, stream)
             assert np.max(np.abs(td.xs - tm.xs)) < 1e-10, model.kind
-            assert np.max(np.abs(td.alphas - tm.alphas)) < 1e-10, model.kind
+            alpha_gap = derive_alphas(td, ANALYSIS_FAITHFUL) - derive_alphas(tm, ANALYSIS_FAITHFUL)
+            assert np.max(np.abs(alpha_gap)) < 1e-10, model.kind
             (zd, bd), (zm, bm) = arc_history(td), arc_history(tm)
             assert np.max(np.abs(zd - zm)) < 1e-10, model.kind
             assert np.max(np.abs(bd - bm)) < 1e-10, model.kind
@@ -144,9 +161,9 @@ class TestEngineEquivalence:
         traj = run_matrix_form(g, obj, 0.4, NoiseModel.gaussian(1e-2), 60,
                                RandomStream(seed=3))
         _, betas = arc_history(traj)
-        for k in (0, 15, 60):
-            assert np.allclose(traj.alphas[k], am.apply_mminus(betas[k]),
-                               atol=1e-10)
+        alphas = derive_alphas(traj, ANALYSIS_FAITHFUL)
+        for k in (0, 15, 59):
+            assert np.allclose(alphas[k], am.apply_mminus(betas[k]), atol=1e-10)
 
     def test_modes_identical_without_noise(self):
         g, obj = small_setup(8)
@@ -154,7 +171,7 @@ class TestEngineEquivalence:
         a = run_decentralized(g, obj, 0.5, NoiseModel.none(), ANALYSIS_FAITHFUL, 40, stream)
         b = run_decentralized(g, obj, 0.5, NoiseModel.none(), BROADCAST, 40, stream)
         assert np.array_equal(a.xs, b.xs)
-        assert np.array_equal(a.alphas, b.alphas)
+        assert np.array_equal(derive_alphas(a, ANALYSIS_FAITHFUL), derive_alphas(b, BROADCAST))
 
     def test_modes_differ_with_noise(self):
         g, obj = small_setup(9)
@@ -238,9 +255,8 @@ class TestChunkedDraws:
     """Chunked error draws replay the per-iteration loop bit for bit.
 
     At N=200 a chunk is 40 iterations, so 100 iterations cross two chunk
-    boundaries (and broadcast's extra final draw starts a third chunk).  At
-    the steady-state shape (N=20, rho=0.3) a chunk is 409 iterations, so 420
-    iterations cross one.
+    boundaries.  At the steady-state shape (N=20, rho=0.3) a chunk is 409
+    iterations, so 420 iterations cross one.
     """
 
     MODELS = [NoiseModel.gaussian(1e-2), NoiseModel.fixed_norm(1e-2)]
@@ -260,17 +276,16 @@ class TestChunkedDraws:
         return g, obj
 
     @staticmethod
-    def check_decentralized(g, obj, model, mode, max_iter, record="full"):
+    def check_decentralized(g, obj, model, mode, max_iter, record="errors"):
         stream = RandomStream(seed=15, trial=1, cell=2)
         traj = run_decentralized(g, obj, 0.3, model, mode, max_iter, stream, record=record)
         xs, alphas, e_xs = per_iteration_decentralized(g, obj, 0.3, model, mode, max_iter,
                                                        stream)
         assert np.array_equal(traj.xs, xs)
-        assert np.array_equal(traj.errors(slice(0, max_iter)), e_xs)
+        assert np.array_equal(traj.errors(slice(None)), e_xs)
+        assert np.array_equal(derive_alphas(traj, mode), alphas[:-1])
         if record == "light":
-            assert traj.alphas is None and traj.e_xs is None
-        else:
-            assert np.array_equal(traj.alphas, alphas)
+            assert traj.e_xs is None
 
     @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
@@ -289,7 +304,7 @@ class TestChunkedDraws:
     @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
     def test_shortest_runs_match_per_iteration_loop(self, instance, model, mode, max_iter):
-        """At K=1 the first message step is also the last; at K=2 one step lies between."""
+        """K=1 takes one step and no dual update; K=2 takes the first dual update."""
         g, obj = instance
         self.check_decentralized(g, obj, model, mode, max_iter)
 
@@ -345,7 +360,7 @@ class TestErrorRecord:
     """``Trajectory.errors`` replays the per-iteration draws, whatever the record stores.
 
     At N=200 a draw block is 40 iterations: K=100 gives blocks of 40, 40 and
-    20 rows (21 in broadcast, whose row K carries the final message).
+    20 rows, one per message, in either placement.
     """
 
     ALL_KINDS = [NoiseModel.none(), NoiseModel.gaussian(1e-2),
@@ -368,23 +383,22 @@ class TestErrorRecord:
         else:
             traj = run_decentralized(g, obj, 0.3, model, engine, self.MAX_ITER, stream,
                                      record="errors")
-        n_messages = self.MAX_ITER + (engine == BROADCAST)
-        assert traj.n_messages == n_messages
+        k_max = self.MAX_ITER
         drawn = np.stack([sample_error_block(model, traj.xs[k], stream, k)
-                          for k in range(n_messages)])
-        for rows in (slice(None), slice(35, 45), slice(79, 81), slice(78, n_messages),
-                     slice(n_messages - 1, n_messages)):
+                          for k in range(k_max)])
+        for rows in (slice(None), slice(35, 45), slice(79, 81), slice(78, k_max),
+                     slice(k_max - 1, k_max)):
             assert np.array_equal(traj.errors(rows), drawn[rows]), rows
 
     @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
-    def test_full_record_errors_equal_errors_record(self, instance, model, mode):
+    def test_light_record_errors_equal_errors_record(self, instance, model, mode):
         g, obj = instance
-        runs = [run_decentralized(g, obj, 0.3, model, mode, self.MAX_ITER,
-                                  RandomStream(seed=28), record=record)
-                for record in ("errors", "full")]
-        assert runs[0].alphas is None and runs[1].alphas is not None
-        assert np.array_equal(runs[0].errors(slice(None)), runs[1].errors(slice(None)))
+        light, kept = (run_decentralized(g, obj, 0.3, model, mode, self.MAX_ITER,
+                                         RandomStream(seed=28), record=record)
+                       for record in ("light", "errors"))
+        assert light.e_xs is None
+        assert np.array_equal(light.errors(slice(None)), kept.errors(slice(None)))
 
     @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
@@ -395,17 +409,17 @@ class TestErrorRecord:
         if model.kind in ("quantizer", "none"):
             assert traj.e_xs is None
         else:
-            assert traj.e_xs.shape == (traj.n_messages, g.n_nodes, 3)
+            assert traj.e_xs.shape == (self.MAX_ITER, g.n_nodes, 3)
         assert traj.beta0 is None  # the engine starts from the zero dual
 
-    @pytest.mark.parametrize("record", ["light", "errors", "full"])
+    @pytest.mark.parametrize("record", admm.RECORDS)
     def test_none_errors_are_zeros_at_any_record(self, instance, record):
         g, obj = instance
         traj = run_decentralized(g, obj, 0.3, NoiseModel.none(), BROADCAST, 10,
                                  RandomStream(seed=30), record=record)
         assert traj.e_xs is None
         errors = traj.errors(slice(None))
-        assert errors.shape == (11, g.n_nodes, 3)
+        assert errors.shape == (10, g.n_nodes, 3)
         assert not errors.any()
 
     @pytest.mark.parametrize("model", [NoiseModel.gaussian(1e-2), NoiseModel.fixed_norm(1e-2)],
@@ -416,7 +430,7 @@ class TestErrorRecord:
                                          RandomStream(seed=30), record=record)
                        for record in ("light", "errors"))
         assert light.e_xs is None
-        for rows in (slice(None), slice(3, 7), slice(10, 11)):
+        for rows in (slice(None), slice(3, 7), slice(9, 10)):
             assert np.array_equal(light.errors(rows), kept.errors(rows)), rows
 
     def test_light_quantizer_record_derives_its_errors(self, instance):
@@ -509,9 +523,9 @@ class TestBlockedSeries:
         assert gathered == [min(rows, len(traj) - start) for start in range(0, len(traj), rows)]
 
 
-@pytest.mark.parametrize("mode, n_messages", [(ANALYSIS_FAITHFUL, 10), (BROADCAST, 11)])
-def test_quantizer_draws_each_message_once(monkeypatch, mode, n_messages):
-    """K=10 iterations carry 10 perturbed iterates, 11 in broadcast (the last one too)."""
+@pytest.mark.parametrize("mode, max_iter", [(ANALYSIS_FAITHFUL, 10), (BROADCAST, 11)])
+def test_quantizer_draws_each_message_once(monkeypatch, mode, max_iter):
+    """K iterations carry K perturbed iterates, x^0..x^{K-1}, in either placement."""
     iterations = []
     real = admm.sample_error_block
 
@@ -521,18 +535,19 @@ def test_quantizer_draws_each_message_once(monkeypatch, mode, n_messages):
 
     monkeypatch.setattr(admm, "sample_error_block", counting)
     g, obj = small_setup(21)
-    run_decentralized(g, obj, 0.5, NoiseModel.quantizer(1e-3), mode, 10,
+    run_decentralized(g, obj, 0.5, NoiseModel.quantizer(1e-3), mode, max_iter,
                       RandomStream(seed=1))
-    assert iterations == list(range(n_messages))
+    assert iterations == list(range(max_iter))
 
 
-@pytest.mark.parametrize("mode, n_messages", [(ANALYSIS_FAITHFUL, 100), (BROADCAST, 101)])
+@pytest.mark.parametrize("mode, max_iter", [(ANALYSIS_FAITHFUL, 100), (BROADCAST, 101)])
 @pytest.mark.parametrize("model", [NoiseModel.none(), NoiseModel.gaussian(1e-2),
                                    NoiseModel.fixed_norm(1e-2)], ids=lambda m: m.kind)
-def test_state_free_kinds_draw_one_call_per_chunk(monkeypatch, model, mode, n_messages):
+def test_state_free_kinds_draw_one_call_per_chunk(monkeypatch, model, mode, max_iter):
     """Error that does not depend on x, zero error included, is drawn a chunk per call.
 
-    At N=200 a chunk is 40 iterations, so 100 iterations take three calls.
+    At N=200 a chunk is 40 iterations, so 100 or 101 iterations take three
+    calls, the last of 20 or 21 messages.
     """
     iterations = []
     real = admm.sample_error_block
@@ -543,15 +558,15 @@ def test_state_free_kinds_draw_one_call_per_chunk(monkeypatch, model, mode, n_me
 
     monkeypatch.setattr(admm, "sample_error_block", counting)
     g, obj = small_setup(23, n_nodes=200, rho=0.05)
-    run_decentralized(g, obj, 0.5, model, mode, 100, RandomStream(seed=1))
+    run_decentralized(g, obj, 0.5, model, mode, max_iter, RandomStream(seed=1))
     assert admm._CHUNK_LANES // 200 == 40
-    assert iterations == [list(range(start, min(start + 40, n_messages)))
-                          for start in range(0, n_messages, 40)]
+    assert iterations == [list(range(start, min(start + 40, max_iter)))
+                          for start in range(0, max_iter, 40)]
 
 
 @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
 def test_one_neighbor_sum_per_iteration(monkeypatch, mode):
-    """K iterations take K + 1 neighbor sums: one per message, plus the first."""
+    """K iterations take K neighbor sums, one per message, in either placement."""
     calls = []
     real = ArcMatrices.neighbor_sum
 
@@ -562,7 +577,7 @@ def test_one_neighbor_sum_per_iteration(monkeypatch, mode):
     monkeypatch.setattr(ArcMatrices, "neighbor_sum", counting)
     g, obj = small_setup(22)
     run_decentralized(g, obj, 0.5, NoiseModel.gaussian(1e-2), mode, 10, RandomStream(seed=2))
-    assert len(calls) == 11, calls
+    assert len(calls) == 10, calls
 
 
 class TestConvergence:
@@ -629,9 +644,10 @@ class TestValidationAndRecording:
         with pytest.raises(ValueError, match="placement mode"):
             run_decentralized(g, obj, 1.0, NoiseModel.none(), "exact",
                               10, RandomStream(seed=1))
-        with pytest.raises(ValueError, match="unknown record 'Full'"):
-            run_decentralized(g, obj, 1.0, NoiseModel.none(), ANALYSIS_FAITHFUL,
-                              10, RandomStream(seed=1), record="Full")
+        for record in ("Full", "full"):
+            with pytest.raises(ValueError, match=f"unknown record '{record}'"):
+                run_decentralized(g, obj, 1.0, NoiseModel.none(), ANALYSIS_FAITHFUL,
+                                  10, RandomStream(seed=1), record=record)
 
     def test_mismatched_objective_rejected(self):
         g, _ = small_setup(17)
@@ -644,23 +660,23 @@ class TestValidationAndRecording:
         """A light record keeps x alone and still derives the G-norm and the gate."""
         g, obj = small_setup(18)
         ref = reference_point(g, obj)
-        light, full = (run_decentralized(g, obj, 0.5, NoiseModel.gaussian(1e-2),
+        light, kept = (run_decentralized(g, obj, 0.5, NoiseModel.gaussian(1e-2),
                                          ANALYSIS_FAITHFUL, 10, RandomStream(seed=12),
                                          record=record)
-                       for record in ("light", "full"))
-        assert light.alphas is None and light.e_xs is None and light.beta0 is None
-        assert np.array_equal(gnorm_series(light, ref), gnorm_series(full, ref))
-        xerr = x_err_series(full, ref)
-        assert np.array_equal(error_gates(light, xerr), error_gates(full, xerr))
+                       for record in ("light", "errors"))
+        assert light.e_xs is None and light.beta0 is None
+        assert np.array_equal(gnorm_series(light, ref), gnorm_series(kept, ref))
+        xerr = x_err_series(kept, ref)
+        assert np.array_equal(error_gates(light, xerr), error_gates(kept, xerr))
 
-    def test_light_and_full_share_x_path(self):
+    def test_light_and_errors_share_x_path(self):
         g, obj = small_setup(19)
         m = NoiseModel.gaussian(1e-2)
-        full = run_decentralized(g, obj, 0.5, m, ANALYSIS_FAITHFUL, 30,
-                                 RandomStream(seed=13), record="full")
+        kept = run_decentralized(g, obj, 0.5, m, ANALYSIS_FAITHFUL, 30,
+                                 RandomStream(seed=13), record="errors")
         light = run_decentralized(g, obj, 0.5, m, ANALYSIS_FAITHFUL, 30,
                                   RandomStream(seed=13), record="light")
-        assert np.array_equal(full.xs, light.xs)
+        assert np.array_equal(kept.xs, light.xs)
 
     def test_x_err_series_is_stacked_norm(self):
         g, obj = small_setup(20)

@@ -395,7 +395,7 @@ class TestLightRecord:
 
     @staticmethod
     def assert_same_answers(light, kept, ref, report):
-        assert light.e_xs is None and light.alphas is None
+        assert light.e_xs is None
         assert np.array_equal(light.errors(slice(None)), kept.errors(slice(None)))
         assert np.array_equal(gnorm_series(light, ref), gnorm_series(kept, ref))
         xerr = x_err_series(kept, ref)
@@ -421,7 +421,7 @@ class TestLightRecord:
         g, obj, c, ref, report = instance
         kept = run_matrix_form(g, obj, c, model, self.MAX_ITER,
                                RandomStream(seed=9, trial=1, cell=2))
-        light = replace(kept, alphas=None, e_xs=None)
+        light = replace(kept, e_xs=None)
         self.assert_same_answers(light, kept, ref, report)
 
 

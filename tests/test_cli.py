@@ -310,7 +310,7 @@ class TestCellRecord:
     @pytest.mark.parametrize("model", ["gaussian", "fixed_norm", "quantizer"])
     def test_no_dual_history(self, tmp_path, model):
         traj = cli._cell_run(*self.cell_instance(tmp_path, model))[0]
-        assert traj.alphas is None and traj.beta0 is None
+        assert traj.beta0 is None
         if model == "quantizer":
             assert traj.e_xs is None
         else:

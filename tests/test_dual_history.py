@@ -1,15 +1,19 @@
-"""No package module reads a trajectory's per-node dual history.
+"""No run record holds a per-node dual history, and no package module reads one.
 
-``Trajectory.alphas`` is kept only by record "full", as an oracle for the
-tests that compare the engines; the analysis works from the iterates,
-beta^0 and the error blocks.  A module that read ``.alphas`` would need
-"full" again and the (K+1, N, n) dual history with it.
+The engines stop at x^K and a :class:`ncadmm.admm.Trajectory` keeps the
+iterates, the error draws and beta^0 only; the analysis derives every arc
+variable from those.  The tests derive the duals alpha^0..alpha^{K-1}
+themselves (``test_admm.derive_alphas``).  A module that read ``.alphas``
+would need a stored (K+1, N, n) dual history again.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from ncadmm.admm import RECORDS, Trajectory
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncadmm"
 
@@ -27,3 +31,10 @@ def test_the_check_sees_an_attribute_read():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_no_module_reads_the_dual_history(path):
     assert alphas_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_records_keep_no_dual_history():
+    """No record "full", no stored dual, and no mode or message count: K messages either way."""
+    assert RECORDS == ("light", "errors")
+    assert not {"alphas", "mode"} & {f.name for f in fields(Trajectory)}
+    assert not hasattr(Trajectory, "n_messages")

@@ -2,9 +2,8 @@
 
 The oracle replays each run's recorded error realization through dense
 algebra built from the graph's edges and the local Gram matrices alone.
-Broadcast's final dual alpha^K consumes e^K, the error on the message of
-x^K, which the record holds as its row K, so the whole record, alpha^K
-included, is compared.
+The duals alpha^0..alpha^{K-1}, which the record does not keep, are
+derived from it by the per-node engine's own operations and compared too.
 """
 
 import numpy as np
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from linear_oracle import (exact_rate, gnorm_rate, mean_square_curve, quantizer_point,
                            replay, steady_covariance)
+from test_admm import derive_alphas
 from ncadmm.analysis import gnorm_series
 from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, reference_point, run_decentralized,
                          run_matrix_form, x_err_series)
@@ -55,7 +55,7 @@ def test_engines_equal_the_affine_map(instance, model, engine):
     mode = BROADCAST if engine == BROADCAST else ANALYSIS_FAITHFUL
     xs, alphas = replay(g, obj, c, mode, errors)
     assert relative_gap(traj.xs, xs) < 1e-12
-    assert relative_gap(traj.alphas, alphas) < 1e-12
+    assert relative_gap(derive_alphas(traj, mode), alphas) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
