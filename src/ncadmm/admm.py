@@ -40,20 +40,21 @@ Error blocks are keyed by (seed, trial, cell, node, iteration-of-the-
 perturbed-iterate), so both engines and both modes replay the identical
 realization from the same stream.
 
-Gaussian, fixed-norm and zero error do not depend on x, so the engines
-draw one :func:`row_blocks` block of iterations (about 8192
-node-iterations) per :func:`sample_error_block` call, identical to
-per-iteration draws; quantizer error depends on x and is drawn per
-message.  ``run_decentralized`` takes one step per message, k = 0..K-1:
-the message of x^k, then the dual update for k >= 1, then the x-update.
-Both modes run the same calls on the (2, N, n) stack [x^k, x^k + e^k];
-the mode only picks which rows feed the own term and which the neighbor
-sum: both rows to both in ``analysis_faithful`` (slices of one sum equal
-separate sums bit for bit), x^k to the own term and x^k + e^k to the sum
-in ``broadcast``, where that sum serves the dual update and the next
-x-update.  A run of K iterations takes K neighbor sums and K messages in
-either mode; it stops at x^K, so no message of x^K is sent and no dual
-alpha^K is formed.
+``run_matrix_form``, the plain reference, makes one
+:func:`sample_error_block` call per message.  Gaussian, fixed-norm and
+zero error do not depend on x, so ``run_decentralized`` draws them one
+:func:`row_blocks` block of iterations (about 8192 node-iterations) per
+call, identical to per-message draws; quantizer error depends on x and
+is drawn per message.  ``run_decentralized`` takes one step per message,
+k = 0..K-1: the message of x^k, then the dual update for k >= 1, then
+the x-update.  Both modes run the same calls on the (2, N, n) stack
+[x^k, x^k + e^k]; the mode only picks which rows feed the own term and
+which the neighbor sum: both rows to both in ``analysis_faithful``
+(slices of one sum equal separate sums bit for bit), x^k to the own term
+and x^k + e^k to the sum in ``broadcast``, where that sum serves the
+dual update and the next x-update.  A run of K iterations takes K
+neighbor sums and K messages in either mode; it stops at x^K, so no
+message of x^K is sent and no dual alpha^K is formed.
 
 A :class:`Trajectory` holds only the engine state its reader needs (its
 docstring lists the two ``record`` levels).  The arc-space quantities
@@ -108,8 +109,8 @@ class Trajectory:
       at N=200, K=1000 that draws again takes 1.4-1.5x as long).
 
     Message k carries iterate k, for k = 0..K-1; :meth:`errors` gives the
-    error blocks on them from either record.  ``beta0`` is the initial arc
-    dual, None for zero; with ``xs`` it gives the arc variables (see
+    error blocks on them from either record.  Every run starts from zero
+    duals, so ``xs`` alone gives the arc variables (see
     :func:`ncadmm.analysis.gnorm_series`).
     """
 
@@ -119,7 +120,6 @@ class Trajectory:
     noise: NoiseModel
     stream: RandomStream
     e_xs: np.ndarray | None = None    # (K, N, n), gaussian and fixed_norm only
-    beta0: np.ndarray | None = None   # (2E, n)
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -184,14 +184,15 @@ def _solve_operators(g: Graph, obj: ObjectiveSet, c: float) -> np.ndarray:
 def row_blocks(n_rows: int, lanes: int):
     """Slices covering rows 0..n_rows-1 of ``lanes`` lanes, about ``_CHUNK_LANES`` per block.
 
-    The one block rule of the engines' draws and of every pass over a record.
+    The one block rule of the per-node engine's draws and of every pass over a record.
     """
     rows = max(1, _CHUNK_LANES // lanes)
     return (slice(start, min(start + rows, n_rows)) for start in range(0, n_rows, rows))
 
 
 def _error_source(model: NoiseModel, stream: RandomStream, shape: tuple, keep: bool):
-    """``error(k, x)``, the error block on the messages carrying iterate k, and the kept draws.
+    """:func:`run_decentralized`'s draws: ``error(k, x)``, the error block on
+    the messages carrying iterate k, and the kept draws.
 
     ``shape`` is (K, N, n).  Quantizer error is computed from x per
     request and never kept (the record derives it again).  Every other kind
@@ -297,37 +298,27 @@ def run_matrix_form(
     model: NoiseModel,
     max_iter: int,
     stream: RandomStream,
-    x0: np.ndarray | None = None,
-    beta0: np.ndarray | None = None,
 ) -> Trajectory:
     """Run the stacked arc-matrix recursion (analysis-faithful placement).
 
-    Consumes the identical error realization as :func:`run_decentralized`
-    for the same stream, which makes the two engines cross-validating
-    implementations of the same dynamics.  The record is always "errors".
-    ``beta0`` should lie in the row space of Mminus (the zero default does)
-    for the certificates to apply.
+    The plain reference for :func:`run_decentralized`: it starts from
+    x = beta = 0 and draws each message's error with its own
+    :func:`sample_error_block` call, the identical realization for the same
+    stream, so the two engines cross-validate the same dynamics.  The record
+    is "light"; :meth:`Trajectory.errors` derives the draws.
     """
     _check_run_args(g, obj, c, max_iter)
-    n_nodes, dim = g.n_nodes, obj.dim
     am = build_arc_matrices(g)
     inv_ops = _solve_operators(g, obj, c)
 
-    x = np.zeros((n_nodes, dim)) if x0 is None else np.array(x0, dtype=float)
-    beta = np.zeros((g.n_arcs, dim)) if beta0 is None else np.array(beta0, dtype=float)
-    beta_start = beta
-
-    xs = np.empty((max_iter + 1, n_nodes, dim))
-    xs[0] = x
-
-    error, e_xs = _error_source(model, stream, (max_iter, n_nodes, dim), True)
+    x = np.zeros((g.n_nodes, obj.dim))
+    beta = np.zeros((g.n_arcs, obj.dim))
+    xs = np.zeros((max_iter + 1, *x.shape))  # xs[0] is the zero start
     for k in range(max_iter):
-        e_k = error(k, x)
-        z_hat = 0.5 * am.apply_mplus_t(x + e_k)
+        z_hat = 0.5 * am.apply_mplus_t(x + sample_error_block(model, x, stream, k))
         rhs = obj.rhs - am.apply_mminus(beta) + c * am.apply_mplus(z_hat)
         x = np.einsum("nij,nj->ni", inv_ops, rhs)
         beta = beta + (0.5 * c) * am.apply_mminus_t(x)
         xs[k + 1] = x
 
-    return Trajectory(graph=g, c=c, xs=xs, e_xs=e_xs, beta0=beta_start, noise=model,
-                      stream=stream)
+    return Trajectory(graph=g, c=c, xs=xs, noise=model, stream=stream)

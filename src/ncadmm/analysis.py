@@ -24,7 +24,7 @@ The arc-space quantities of a run are derived here, never stored, from
 the iterates of either record: the arc variables
 
     z^k    = 0.5 * Mplus.T x^k
-    beta^k = beta^{k-1} + (c/2) * Mminus.T x^k,   beta^0 = traj.beta0 (or 0)
+    beta^k = beta^{k-1} + (c/2) * Mminus.T x^k,   beta^0 = 0
 
 feed the squared G-norm c ||z^k - x_c||^2 + ||beta^k - beta*||^2 / c
 (:func:`gnorm_series`; z* is x_c on every arc), and the arc-space error
@@ -202,7 +202,6 @@ def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
     # one long loop, where broadcasting the (n,) row would loop n at a time
     z_star = np.tile(ref.x_central, (traj.graph.n_arcs, 1))
     out = np.empty(len(traj))
-    beta = traj.beta0  # beta^{k-1} of the next block's first row
     for rows in row_blocks(len(traj), traj.graph.n_arcs):
         x_tail, x_head = am.arc_ends(traj.xs[rows])
         dz = x_tail + x_head
@@ -212,10 +211,10 @@ def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
         if rows.start:
             np.add(beta, db[0], out=db[0])
         else:
-            db[0] = 0.0 if beta is None else beta
+            db[0] = 0.0
         for k in range(1, len(db)):
             np.add(db[k - 1], db[k], out=db[k])
-        beta = db[-1].copy()
+        beta = db[-1].copy()  # beta^{k-1} of the next block's first row
         dz -= z_star
         db -= ref.beta_star
         dz *= dz

@@ -310,7 +310,6 @@ class TestCellRecord:
     @pytest.mark.parametrize("model", ["gaussian", "fixed_norm", "quantizer"])
     def test_no_dual_history(self, tmp_path, model):
         traj = cli._cell_run(*self.cell_instance(tmp_path, model))[0]
-        assert traj.beta0 is None
         if model == "quantizer":
             assert traj.e_xs is None
         else:

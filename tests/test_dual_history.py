@@ -1,8 +1,8 @@
 """No run record holds a per-node dual history, and no package module reads one.
 
 The engines stop at x^K and a :class:`ncadmm.admm.Trajectory` keeps the
-iterates, the error draws and beta^0 only; the analysis derives every arc
-variable from those.  The tests derive the duals alpha^0..alpha^{K-1}
+iterates and the error draws only (every run starts from zero duals); the
+analysis derives every arc variable from those.  The tests derive the duals alpha^0..alpha^{K-1}
 themselves (``test_admm.derive_alphas``).  A module that read ``.alphas``
 would need a stored (K+1, N, n) dual history again.
 """
@@ -34,7 +34,7 @@ def test_no_module_reads_the_dual_history(path):
 
 
 def test_records_keep_no_dual_history():
-    """No record "full", no stored dual, and no mode or message count: K messages either way."""
+    """No record "full", no stored dual or start dual, and no mode or message count."""
     assert RECORDS == ("light", "errors")
-    assert not {"alphas", "mode"} & {f.name for f in fields(Trajectory)}
+    assert not {"alphas", "beta0", "mode"} & {f.name for f in fields(Trajectory)}
     assert not hasattr(Trajectory, "n_messages")
