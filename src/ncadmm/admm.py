@@ -42,10 +42,10 @@ realization from the same stream.
 
 ``run_matrix_form``, the plain reference, makes one
 :func:`sample_error_block` call per message.  Gaussian, fixed-norm and
-zero error do not depend on x, so ``run_decentralized`` draws them one
-:func:`row_blocks` block of iterations (about 8192 node-iterations) per
-call, identical to per-message draws; quantizer error depends on x and
-is drawn per message.  ``run_decentralized`` takes one step per message,
+zero error do not depend on x: ``run_decentralized`` walks its
+iterations in :func:`row_blocks` blocks (about 8192 node-iterations) and
+draws them one block per call, identical to per-message draws; quantizer
+error depends on x and is drawn per message.  It takes one step per message,
 k = 0..K-1: the message of x^k, then the dual update for k >= 1, then
 the x-update.  Both modes run the same calls on the (2, N, n) stack
 [x^k, x^k + e^k]; the mode only picks which rows feed the own term and
@@ -184,39 +184,11 @@ def _solve_operators(g: Graph, obj: ObjectiveSet, c: float) -> np.ndarray:
 def row_blocks(n_rows: int, lanes: int):
     """Slices covering rows 0..n_rows-1 of ``lanes`` lanes, about ``_CHUNK_LANES`` per block.
 
-    The one block rule of the per-node engine's draws and of every pass over a record.
+    The per-node engine walks its iterations in these blocks, one draw per block
+    for error that does not depend on x; every pass over a record uses them too.
     """
     rows = max(1, _CHUNK_LANES // lanes)
     return (slice(start, min(start + rows, n_rows)) for start in range(0, n_rows, rows))
-
-
-def _error_source(model: NoiseModel, stream: RandomStream, shape: tuple, keep: bool):
-    """:func:`run_decentralized`'s draws: ``error(k, x)``, the error block on
-    the messages carrying iterate k, and the kept draws.
-
-    ``shape`` is (K, N, n).  Quantizer error is computed from x per
-    request and never kept (the record derives it again).  Every other kind
-    is drawn one :func:`row_blocks` block of iterations per call and, when
-    ``keep``, a gaussian or fixed_norm block is stored once into the kept
-    array (``none`` error is zero, and the record gives zeros without it);
-    requests must come in order k = 0, 1, ...
-    """
-    if model.kind == "quantizer":
-        return (lambda k, x: sample_error_block(model, x, stream, k)), None
-    keep = keep and model.kind != "none"
-    kept = np.empty(shape) if keep else None
-    blocks = row_blocks(shape[0], shape[1])
-    rows, block = slice(0, 0), None
-
-    def error(k: int, x: np.ndarray) -> np.ndarray:
-        nonlocal rows, block
-        if k >= rows.stop:
-            rows = next(blocks)
-            block = sample_error_block(model, x, stream, np.arange(rows.start, rows.stop))
-            if keep:
-                kept[rows] = block
-        return block[k - rows.start]
-    return error, kept
 
 
 def _check_run_args(g: Graph, obj: ObjectiveSet, c: float, max_iter: int) -> None:
@@ -273,20 +245,28 @@ def run_decentralized(
     rhs = np.empty((n_nodes, dim))
 
     own, msgs = (stack, stack) if mode == ANALYSIS_FAITHFUL else (stack[:1], stack[1:])
-    error, e_xs = _error_source(model, stream, (max_iter, n_nodes, dim), record == "errors")
-    for k in range(max_iter):
-        stack[0] = x
-        np.add(x, error(k, x), out=stack[1])
-        nb = am.neighbor_sum(msgs)
-        np.multiply(deg2, own, out=w)
-        w[0] -= nb[0]
-        w[1] += nb[-1]
-        w *= c
-        if k:
-            alpha += w[0]
-        np.subtract(obj.rhs, alpha, out=rhs)
-        rhs += w[1]
-        x = np.einsum("nij,nj->ni", inv_ops, rhs, out=xs[k + 1])
+    per_message = model.kind == "quantizer"
+    keep = record == "errors" and model.kind in ("gaussian", "fixed_norm")  # the record derives the rest
+    e_xs = np.empty((max_iter, n_nodes, dim)) if keep else None
+    for rows in row_blocks(max_iter, n_nodes):
+        if not per_message:
+            block = sample_error_block(model, x, stream, np.arange(rows.start, rows.stop))
+            if e_xs is not None:
+                e_xs[rows] = block
+        for k in range(rows.start, rows.stop):
+            stack[0] = x
+            e = sample_error_block(model, x, stream, k) if per_message else block[k - rows.start]
+            np.add(x, e, out=stack[1])
+            nb = am.neighbor_sum(msgs)
+            np.multiply(deg2, own, out=w)
+            w[0] -= nb[0]
+            w[1] += nb[-1]
+            w *= c
+            if k:
+                alpha += w[0]
+            np.subtract(obj.rhs, alpha, out=rhs)
+            rhs += w[1]
+            x = np.einsum("nij,nj->ni", inv_ops, rhs, out=xs[k + 1])
 
     return Trajectory(graph=g, c=c, xs=xs, e_xs=e_xs, noise=model, stream=stream)
 

@@ -183,7 +183,6 @@ class ContractionAudit:
     x_bound_slack: np.ndarray
     contraction_violated: np.ndarray
     x_bound_violated: np.ndarray
-    bound: float
 
 
 def gnorm_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
@@ -274,7 +273,6 @@ def audit_contraction(traj: Trajectory, ref: ReferencePoint, report: TheoryRepor
         ratios = np.where(skipped, np.nan, gnorm[1:] / gnorm[:-1])
 
     checked = gates & report.conditions_hold
-    bound = report.contraction_factor
 
     # an infinite primal-bound coefficient (squared condition violated)
     # yields inf/nan slack entries; they are never checked
@@ -286,9 +284,8 @@ def audit_contraction(traj: Trajectory, ref: ReferencePoint, report: TheoryRepor
         skipped=skipped,
         checked=checked,
         x_bound_slack=x_bound_slack,
-        contraction_violated=checked & ~skipped & (ratios > bound + _AUDIT_TOL),
+        contraction_violated=checked & ~skipped & (ratios > report.contraction_factor + _AUDIT_TOL),
         x_bound_violated=checked & (x_bound_slack < -_AUDIT_TOL),
-        bound=bound,
     )
 
 

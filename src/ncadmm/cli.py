@@ -211,7 +211,7 @@ def _cmd_audit(args) -> int:
                 np.ma.masked_invalid(audit.x_bound_slack),
                 audit.contraction_violated | audit.x_bound_violated)
     print(f"delta_star={delta_star:.12g} at mu={mu_star:.6g}; "
-          f"bound={audit.bound:.12g}; "
+          f"bound={report.contraction_factor:.12g}; "
           f"violations: contraction={audit.contraction_violated.sum()} "
           f"x_bound={audit.x_bound_violated.sum()}", file=sys.stderr)
     _note_placement(cfg)

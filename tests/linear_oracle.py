@@ -15,7 +15,8 @@ L = (D - Adj) (x) I, both lifted node-major:
 The operators are built from ``obj.grams``, ``obj.rhs`` and ``g.edges``
 only, densely, and nothing is imported from ``ncadmm.admm``, so a match
 checks either engine against the algebra rather than against the other
-engine.  Dense side 2Nn keeps this to small graphs (N <= 50 at n = 3).
+engine.  Dense side 2Nn, 3Nn for broadcast's error-driven state, keeps this
+to small graphs (N <= 50 at n = 3).
 """
 
 from __future__ import annotations
@@ -143,32 +144,50 @@ def quantizer_point(g, obj, c: float, delta: float, steps: int = 100):
     return None
 
 
-def noise_input(g, obj, c: float):
-    """(f, B): the analysis_faithful map is s+ = A s + f + B e on s = (x, alpha).
+def noise_input(g, obj, c: float, mode: str = "analysis_faithful"):
+    """(T, f, B): the error-driven map t+ = T t + f + B e, white in e, of the placement.
 
-    From the recursion, f = (H^-1 b, c L H^-1 b) and B = (c H^-1 Q, c L c H^-1 Q).
+    analysis_faithful: t_k = (x^k, alpha^k), side 2Nn, T = A, and from the
+    recursion f = (H^-1 b, c L H^-1 b) and B = (c H^-1 Q, c L c H^-1 Q).
+
+    broadcast: e_k enters x^{k+1} through c H^-1 Adj e_k and alpha^k through
+    -c Adj e_k, so (x, alpha) sees an MA(1) input.  The state
+    t_k = (x^k, alpha^k, e_k), side 3Nn, carries it:
+    T = [[A, B0], [0, 0]], f = (f, 0), B = (B1, I), with
+    B0 = (c H^-1 Adj, c L c H^-1 Adj) and B1 = (0, -c Adj); t_0 = (0, 0, e_0),
+    since alpha^0 = 0 carries no error.  Any other ``mode`` is a ValueError.
     """
     h, deg, adj, rhs = operators(g, obj, c)
     lap = deg - adj
+    a = transition(g, obj, c)
     f_x = np.linalg.solve(h, rhs)
-    b_x = c * np.linalg.solve(h, deg + adj)
-    return np.concatenate([f_x, c * lap @ f_x]), np.vstack([b_x, c * lap @ b_x])
+    f = np.concatenate([f_x, c * lap @ f_x])
+    if mode == "analysis_faithful":
+        b_x = c * np.linalg.solve(h, deg + adj)
+        return a, f, np.vstack([b_x, c * lap @ b_x])
+    if mode != "broadcast":
+        raise ValueError(f"unknown placement mode {mode!r}")
+    b_x = c * np.linalg.solve(h, adj)
+    zero = np.zeros_like(h)
+    t = np.block([[a, np.vstack([b_x, c * lap @ b_x])], [zero, zero, zero]])
+    return t, np.concatenate([f, np.zeros_like(f_x)]), np.vstack([zero, -c * adj, np.eye(len(h))])
 
 
-def mean_square_curve(g, obj, c: float, noise_var: float, n_iter: int, x_star):
-    """E||x_k - x*||^2 for k = 0..n_iter of the analysis_faithful run from x = alpha = 0.
+def mean_square_curve(g, obj, c: float, noise_var: float, n_iter: int, x_star,
+                      mode: str = "analysis_faithful"):
+    """E||x_k - x*||^2 for k = 0..n_iter of the run from x = alpha = 0 in ``mode``.
 
     Error independent across nodes, entries and iterations, with covariance
-    ``noise_var`` * I per message: the state's mean and covariance propagate
-    as m+ = A m + f and P+ = A P A^T + noise_var B B^T from m = P = 0, and
-    E||x_k - x*||^2 = ||m_x - x*||^2 + trace(P_x).  Broadcast is not
-    covered: its state also carries e_{k+1}.
+    ``noise_var`` * I per message: the state of :func:`noise_input` has mean
+    and covariance m+ = T m + f and P+ = T P T^T + noise_var B B^T, from
+    m = 0 and P = 0 (broadcast: noise_var I on its e_0 block), and
+    E||x_k - x*||^2 = ||m_x - x*||^2 + trace(P_x).
     """
-    a = transition(g, obj, c)
-    f, b = noise_input(g, obj, c)
-    side = len(f) // 2
+    a, f, b = noise_input(g, obj, c, mode)
+    side = obj.rhs.size
     drive = noise_var * (b @ b.T)
     m, p = np.zeros(len(f)), np.zeros((len(f), len(f)))
+    p[2 * side:, 2 * side:] = noise_var * np.eye(len(f) - 2 * side)
     out = np.empty(n_iter + 1)
     for k in range(n_iter + 1):
         d = m[:side] - np.reshape(x_star, -1)
@@ -178,28 +197,39 @@ def mean_square_curve(g, obj, c: float, noise_var: float, n_iter: int, x_star):
     return out
 
 
-def steady_covariance(g, obj, c: float, noise_var: float, doublings: int = 64):
-    """The steady covariance P of the analysis_faithful state (x, alpha), side 2Nn.
+def steady_covariance(g, obj, c: float, noise_var: float, mode: str = "analysis_faithful",
+                      doublings: int = 64):
+    """The steady covariance P of the state of :func:`noise_input` off A's n unit modes.
 
     Error independent across nodes, entries and iterations, with covariance
-    ``noise_var`` * I per message, enters through :func:`noise_input`'s B,
-    so P solves the Stein equation P = A P A^T + noise_var B B^T.  A's n
-    unit modes (x = 1 (x) u, alpha_i = -gram_i u; left vectors
-    (0, 1 (x) v)) are projected out: B has no component on them, since
-    1^T L = 0.  P is then the sum over k of noise_var A^k B B^T (A^k)^T,
-    built by Smith doubling until A^(2^j) is below 1e-20.
-    Broadcast is not covered: its state also carries e_{k+1}.
+    ``noise_var`` * I per message, enters through B, so P solves the Stein
+    equation P = T P T^T + noise_var B B^T on the part of the state off the
+    unit modes (x = 1 (x) u, alpha_i = -gram_i u, e = 0; left vectors
+    (0, 1 (x) v, 0)), whose projector Pi is built here.  P is the sum over
+    k of noise_var (T - Pi)^k B B^T ((T - Pi)^k)^T, built by Smith doubling
+    until (T - Pi)^(2^j) is below 1e-20.
+
+    In analysis_faithful B has no component on the unit modes (1^T L = 0),
+    so P is the whole state's steady covariance.  In broadcast each message
+    moves the dual sum S = sum_i alpha_i by -c sum_i d_i e_i, a random walk
+    that shifts x along the unit modes by 1 (x) u with G u = -S,
+    G = sum_i gram_i; x has no steady floor, B is replaced by B - Pi B, and
+    P is the covariance of x + 1 (x) G^-1 S.
     """
     n_nodes, dim = obj.rhs.shape
-    _, b = noise_input(g, obj, c)
+    a_k, _, b = noise_input(g, obj, c, mode)
     units = np.kron(np.ones((n_nodes, 1)), np.eye(dim))
-    right = np.vstack([units, -obj.grams.reshape(-1, dim)])
-    left = np.vstack([np.zeros_like(units), units])
-    a_k = transition(g, obj, c) - right @ np.linalg.solve(left.T @ right, left.T)
+    zero = np.zeros((len(a_k) - 2 * len(units), dim))
+    right = np.vstack([units, -obj.grams.reshape(-1, dim), zero])
+    left = np.vstack([np.zeros_like(units), units, zero])
+    unit_part = right @ np.linalg.solve(left.T @ right, left.T)
+    a_k = a_k - unit_part
+    if mode == "broadcast":
+        b = b - unit_part @ b
     p = noise_var * (b @ b.T)
     for _ in range(doublings):
         p = p + a_k @ p @ a_k.T
         a_k = a_k @ a_k
         if np.max(np.abs(a_k)) < 1e-20:
             return p
-    raise ValueError(f"A^(2^j) did not fall below 1e-20 in {doublings} doublings")
+    raise ValueError(f"(T - Pi)^(2^j) did not fall below 1e-20 in {doublings} doublings")

@@ -522,14 +522,19 @@ def test_matrix_form_draws_one_call_per_message(monkeypatch, model):
     assert iterations == list(range(45))
 
 
-@pytest.mark.parametrize("mode, max_iter", [(ANALYSIS_FAITHFUL, 100), (BROADCAST, 101)])
+@pytest.mark.parametrize("mode, max_iter, record", [
+    pytest.param(mode, max_iter, record,
+                 id=f"{mode}-{max_iter}" + ("" if record == "errors" else f"-{record}"))
+    for record in admm.RECORDS for mode in (ANALYSIS_FAITHFUL, BROADCAST)
+    for max_iter in (1, 40, 80, 100, 101)])
 @pytest.mark.parametrize("model", [NoiseModel.none(), NoiseModel.gaussian(1e-2),
                                    NoiseModel.fixed_norm(1e-2)], ids=lambda m: m.kind)
-def test_state_free_kinds_draw_one_call_per_chunk(monkeypatch, model, mode, max_iter):
+def test_state_free_kinds_draw_one_call_per_chunk(monkeypatch, model, mode, max_iter, record):
     """Error that does not depend on x, zero error included, is drawn a chunk per call.
 
-    At N=200 a chunk is 40 iterations, so 100 or 101 iterations take three
-    calls, the last of 20 or 21 messages.
+    At N=200 a chunk is 40 iterations: 1 or 40 iterations take one call,
+    80 take two, and 100 or 101 take three, the last of 20 or 21 messages.
+    Either record makes the same calls.
     """
     iterations = []
     real = admm.sample_error_block
@@ -540,7 +545,7 @@ def test_state_free_kinds_draw_one_call_per_chunk(monkeypatch, model, mode, max_
 
     monkeypatch.setattr(admm, "sample_error_block", counting)
     g, obj = small_setup(23, n_nodes=200, rho=0.05)
-    run_decentralized(g, obj, 0.5, model, mode, max_iter, RandomStream(seed=1))
+    run_decentralized(g, obj, 0.5, model, mode, max_iter, RandomStream(seed=1), record=record)
     assert admm._CHUNK_LANES // 200 == 40
     assert iterations == [list(range(start, min(start + 40, max_iter)))
                           for start in range(0, max_iter, 40)]

@@ -405,7 +405,7 @@ class TestLightRecord:
         assert np.array_equal(error_gates(light, xerr), error_gates(kept, xerr))
         audits = [audit_contraction(traj, ref, report) for traj in (light, kept)]
         for name in ("ratios", "gates", "skipped", "checked", "x_bound_slack",
-                     "contraction_violated", "x_bound_violated", "bound"):
+                     "contraction_violated", "x_bound_violated"):
             np.testing.assert_array_equal(*(getattr(a, name) for a in audits), err_msg=name)
 
     @pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])

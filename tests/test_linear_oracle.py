@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linear_oracle import (exact_rate, gnorm_rate, mean_square_curve, quantizer_point,
-                           replay, steady_covariance)
+from linear_oracle import (exact_rate, gnorm_rate, mean_square_curve, noise_input,
+                           quantizer_point, replay, steady_covariance)
 from test_admm import derive_alphas
 from ncadmm.analysis import gnorm_series
 from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, reference_point, run_decentralized,
@@ -56,6 +56,30 @@ def test_engines_equal_the_affine_map(instance, model, engine):
     xs, alphas = replay(g, obj, c, mode, errors)
     assert relative_gap(traj.xs, xs) < 1e-12
     assert relative_gap(derive_alphas(traj, mode), alphas) < 1e-12
+
+
+@pytest.mark.parametrize("mode", [ANALYSIS_FAITHFUL, BROADCAST])
+def test_noise_input_drives_the_replay(instance, mode):
+    """t+ = T t + f + B e, from t_0 = (0, 0) or (0, 0, e_0), steps through the replay's x and alpha."""
+    g, obj = instance
+    c, side = 0.5, obj.rhs.size
+    errors = np.random.default_rng(44).normal(scale=1e-2, size=(31, *obj.rhs.shape))
+    xs, alphas = replay(g, obj, c, mode, errors)
+    t_map, f, b = noise_input(g, obj, c, mode)
+    states = [np.zeros(len(f))]
+    if mode == BROADCAST:
+        states[0][2 * side:] = errors[0].reshape(-1)
+    for e in (errors[1:] if mode == BROADCAST else errors[:-1]):
+        states.append(t_map @ states[-1] + f + b @ e.reshape(-1))
+    states = np.reshape(states, (31, -1, *obj.rhs.shape))
+    assert relative_gap(states[:, 0], xs[:31]) < 1e-12
+    assert relative_gap(states[:, 1], alphas) < 1e-12
+
+
+def test_noise_input_rejects_an_unknown_placement(instance):
+    g, obj = instance
+    with pytest.raises(ValueError, match="unknown placement mode 'broadcst'"):
+        noise_input(g, obj, 0.5, "broadcst")
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -184,27 +208,36 @@ def steady_instance():
     return g, obj, 2.0 * obj.m_f / max(sp**2, sp)
 
 
-def check_tail_at_floor(model, noise_var, sigma):
+def check_tail_at_floor(model, noise_var, sigma, mode=ANALYSIS_FAITHFUL):
     """One K=10,000 run's tail mean of ||x_k - x*||^2 brackets trace(P_x).
 
     Over the last 9,000 iterations, the mean in 20 batches must hold
     trace(P_x) at the 99% t level (19 degrees of freedom), and
     sqrt(trace(P_x)) must sit under the d_max sigma bound that
-    ``steady_state_check`` holds the tail to.
+    ``steady_state_check`` holds the tail to.  In broadcast, x's part on the
+    unit modes is a random walk (see ``steady_covariance``), so the tail is
+    of ||x_k - x* + 1 (x) G^-1 S_k||^2 instead, S_k the dual sum
+    sum_i alpha_i^k and G = sum_i gram_i, over x^1000..x^9999 (the duals
+    ``derive_alphas`` gives stop at alpha^{K-1}).
     """
     g, obj, c = steady_instance()
-    p = steady_covariance(g, obj, c, noise_var)
+    p = steady_covariance(g, obj, c, noise_var, mode)
     floor = np.trace(p[:60, :60])
     ref = reference_point(g, obj)
-    traj = run_decentralized(g, obj, c, model, ANALYSIS_FAITHFUL, 10_000,
-                             RandomStream(seed=0), record="light")
-    tail = x_err_series(traj, ref)[-9000:] ** 2
+    traj = run_decentralized(g, obj, c, model, mode, 10_000, RandomStream(seed=0),
+                             record="light")
+    if mode == ANALYSIS_FAITHFUL:
+        tail = x_err_series(traj, ref)[-9000:] ** 2
+    else:
+        walk = np.linalg.solve(obj.grams.sum(axis=0), derive_alphas(traj, mode).sum(axis=1).T)
+        dev = traj.xs[:-1] - ref.x_star + walk.T[:, None, :]
+        tail = np.sum(dev[-9000:] ** 2, axis=(1, 2))
     batches = tail.reshape(20, -1).mean(axis=1)
     half_width = 2.861 * batches.std(ddof=1) / np.sqrt(20)
     assert abs(batches.mean() - floor) <= half_width
     res = steady_state_check(traj, ref, sigma, g)
     assert np.sqrt(floor) <= res.bound_stated
-    print(f"\n[steady floor, {model.kind}] sqrt(trace P_x) = {np.sqrt(floor):.4e}: "
+    print(f"\n[steady floor, {mode}, {model.kind}] sqrt(trace P_x) = {np.sqrt(floor):.4e}: "
           f"{np.sqrt(floor) / res.bound_sqrt:.4f} of bound_sqrt, "
           f"{np.sqrt(floor) / res.bound_stated:.4f} of bound_stated")
 
@@ -230,28 +263,61 @@ def test_gaussian_tail_sits_at_the_steady_floor():
     check_tail_at_floor(NoiseModel.gaussian(sigma / np.sqrt(60)), sigma**2 / 60, sigma)
 
 
-def test_gaussian_mean_square_curve_matches_monte_carlo():
-    """The propagated E||x_k - x*||^2 against 200 Monte Carlo runs, k = 0..200.
+@pytest.mark.parametrize("model", [NoiseModel.fixed_norm(1e-2 / np.sqrt(20)),
+                                   NoiseModel.gaussian(1e-2 / np.sqrt(60))],
+                         ids=lambda m: m.kind)
+def test_broadcast_tail_sits_at_the_floor_off_the_consensus_walk(model):
+    """Broadcast's x has no floor, but x + 1 (x) G^-1 S does: trace(P_x), 0.84 of analysis_faithful's.
+
+    Both kinds carry sigma^2/(N n) I per node, sigma = 1e-2, as in the two
+    tests above.  Over 10,000 iterations the walk itself reaches a squared
+    stacked norm of 1.4e-4 to 3.8e-4, about a hundred times the floor.
+    """
+    check_tail_at_floor(model, 1e-4 / 60, 1e-2, BROADCAST)
+
+
+def check_curve_against_monte_carlo(mode):
+    """The propagated E||x_k - x*||^2 against 200 Monte Carlo runs, k = 0..200; returns it.
 
     Criterion 6's instance with gaussian error of Sigma = sigma_e^2 I per
-    node, sigma_e = 1e-2 / sqrt(N n): the curve falls from ||x*||^2 = 116
-    through the transient into the floor (within 2x of it from k = 95).
-    At k = 0 every run starts at x = 0, so the mean is exact; at every
-    later k the 200-run mean lies within 4.5 standard errors of the curve
-    (Bonferroni over 200 points puts the family level near 1e-3).
+    node, sigma_e = 1e-2 / sqrt(N n).  At k = 0 every run starts at x = 0,
+    so the mean is exact; at every later k the 200-run mean lies within 4.5
+    standard errors of the curve (Bonferroni over 200 points puts the
+    family level near 1e-3).
     """
     g, obj, c = steady_instance()
     ref = reference_point(g, obj)
     sigma_e, n_iter, runs = 1e-2 / np.sqrt(60), 200, 200
-    exact = mean_square_curve(g, obj, c, sigma_e**2, n_iter, ref.x_star)
+    exact = mean_square_curve(g, obj, c, sigma_e**2, n_iter, ref.x_star, mode)
     squares = np.stack([
-        x_err_series(run_decentralized(g, obj, c, NoiseModel.gaussian(sigma_e),
-                                       ANALYSIS_FAITHFUL, n_iter, RandomStream(seed=0, trial=t),
-                                       record="light"), ref) ** 2
+        x_err_series(run_decentralized(g, obj, c, NoiseModel.gaussian(sigma_e), mode, n_iter,
+                                       RandomStream(seed=0, trial=t), record="light"), ref) ** 2
         for t in range(runs)])
     mean = squares.mean(axis=0)
     std_err = squares.std(axis=0, ddof=1) / np.sqrt(runs)
     assert mean[0] == pytest.approx(exact[0], rel=1e-12)
     assert np.all(np.abs(mean[1:] - exact[1:]) <= 4.5 * std_err[1:])
-    print(f"\n[mean-square curve] Monte Carlo / exact in "
+    print(f"\n[mean-square curve, {mode}] Monte Carlo / exact in "
           f"[{np.min(mean / exact):.4f}, {np.max(mean / exact):.4f}]")
+    return exact
+
+
+def test_gaussian_mean_square_curve_matches_monte_carlo():
+    """Analysis_faithful: the curve falls from ||x*||^2 = 116 through the transient into
+    the floor (within 2x of it from k = 95)."""
+    check_curve_against_monte_carlo(ANALYSIS_FAITHFUL)
+
+
+def test_broadcast_mean_square_curve_matches_monte_carlo():
+    """Broadcast: past the transient the curve climbs by the walk's rate per iteration.
+
+    The dual sum S moves by -c sum_i d_i e_i per message, so G^-1 S, and
+    with it x's consensus shift, adds N c^2 sigma_e^2 (sum_i d_i^2) tr(G^-2)
+    = 1.77e-7 to E||x_k - x*||^2 per iteration.  At k = 200 the curve's
+    step is within 6e-4 of it (the transient's remainder); by k = 400, 1e-8.
+    """
+    g, obj, c = steady_instance()
+    exact = check_curve_against_monte_carlo(BROADCAST)
+    g_inv = np.linalg.inv(obj.grams.sum(axis=0))
+    rate = 20 * c**2 * (1e-4 / 60) * np.sum(g.degrees.astype(float) ** 2) * np.trace(g_inv @ g_inv)
+    assert exact[-1] - exact[-2] == pytest.approx(rate, rel=1e-3)
