@@ -87,12 +87,11 @@ _CHUNK_LANES = 8192
 class ReferencePoint:
     """The stationary point of the noiseless iteration.
 
-    x_star stacks the centralized solution at every node, so its arc
-    average z* is the centralized solution on every arc; beta_star is the
-    minimal-norm dual, which lies in the row space of Mminus.
+    x* is x_central at every node, so its arc average z* is x_central on
+    every arc; beta_star is the minimal-norm dual, which lies in the row
+    space of Mminus.
     """
 
-    x_star: np.ndarray     # (N, n)
     beta_star: np.ndarray  # (2E, n)
     x_central: np.ndarray  # (n,)
 
@@ -143,28 +142,28 @@ class Trajectory:
 def reference_point(g: Graph, obj: ObjectiveSet) -> ReferencePoint:
     """Consensus stack of the centralized solution plus the matching duals.
 
-    beta_star solves Mminus beta = -grad f(x_star) in the minimal-norm
+    beta_star solves Mminus beta = -grad f(x*) in the minimal-norm
     least-squares sense, which places it in the column space of Mminus.T.
     The stationarity residual must come out below 1e-8 or the problem is
     rejected as too ill-conditioned.
     """
     am = build_arc_matrices(g)
     x_central = obj.centralized_solution()
-    x_star = np.tile(x_central, (g.n_nodes, 1))
-    grad = obj.gradient_stack(x_star)
+    grad = obj.gradient_stack(np.tile(x_central, (g.n_nodes, 1)))
     beta_star, *_ = np.linalg.lstsq(am.m_minus, -grad, rcond=None)
     residual = float(np.linalg.norm(grad + am.apply_mminus(beta_star)))
     scale = max(1.0, float(np.linalg.norm(grad)))
     if residual > 1e-8 * scale:
         raise ValueError(f"stationarity residual {residual:.3e} exceeds tolerance")
-    return ReferencePoint(x_star=x_star, beta_star=beta_star, x_central=x_central)
+    return ReferencePoint(beta_star=beta_star, x_central=x_central)
 
 
 def x_err_series(traj: Trajectory, ref: ReferencePoint) -> np.ndarray:
     """Stacked-vector distances ||x^k - x*||_2 per iteration, in :func:`row_blocks` blocks."""
+    x_star = np.tile(ref.x_central, (traj.xs.shape[1], 1))
     out = np.empty(len(traj))
     for rows in row_blocks(len(traj), traj.xs.shape[1]):
-        d = traj.xs[rows] - ref.x_star
+        d = traj.xs[rows] - x_star
         d *= d
         out[rows] = np.sum(d, axis=(1, 2))
     return np.sqrt(out, out=out)

@@ -262,7 +262,7 @@ def audit_contraction(traj: Trajectory, ref: ReferencePoint, report: TheoryRepor
     sit below the 1e-14 floor.  The gate is :func:`error_gates`, which
     makes this an offline audit (it needs the reference point).
     """
-    if ref.x_star.shape != traj.xs.shape[1:]:
+    if ref.beta_star.shape != (traj.graph.n_arcs, traj.xs.shape[2]):
         raise ValueError("trajectory and reference point have mismatched shapes")
     gnorm = gnorm_series(traj, ref)
     xerr = x_err_series(traj, ref)

@@ -27,8 +27,7 @@ from .analysis import (audit_contraction, edc_metric, error_gates,
                        x_err_series)
 # not called here; ncbench/tracing.py wraps cli.derive_ez_block by name
 from .analysis import derive_ez_block  # noqa: F401
-from .config import (ConfigError, ExperimentConfig, default_config,
-                     full_config, load_config)
+from .config import ConfigError, ExperimentConfig, full_config, load_config
 from .experiment import (emit_csv, emit_svg, preflight_reports, require_finite,
                          run_experiment, trial_instance, write_table)
 from .noise import RandomStream
@@ -87,7 +86,7 @@ def _load_with_overrides(args) -> ExperimentConfig:
     if args.config is not None:
         cfg = load_config(args.config)
     else:
-        cfg = full_config() if flags.get("full") else default_config()
+        cfg = full_config() if flags.get("full") else ExperimentConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if flags.get("trials") is not None:

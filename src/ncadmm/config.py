@@ -195,11 +195,6 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_json_dict(doc)
 
 
-def default_config() -> ExperimentConfig:
-    """Desk-scale profile: quick enough to sweep interactively."""
-    return ExperimentConfig()
-
-
 def full_config() -> ExperimentConfig:
     """Large profile: 200 nodes, sparse topology, 100 Monte Carlo trials."""
     return ExperimentConfig(

@@ -173,9 +173,11 @@ def noise_input(g, obj, c: float, mode: str = "analysis_faithful"):
     return t, np.concatenate([f, np.zeros_like(f_x)]), np.vstack([zero, -c * adj, np.eye(len(h))])
 
 
-def mean_square_curve(g, obj, c: float, noise_var: float, n_iter: int, x_star,
+def mean_square_curve(g, obj, c: float, noise_var: float, n_iter: int, x_central,
                       mode: str = "analysis_faithful"):
     """E||x_k - x*||^2 for k = 0..n_iter of the run from x = alpha = 0 in ``mode``.
+
+    x* is ``x_central`` at every node.
 
     Error independent across nodes, entries and iterations, with covariance
     ``noise_var`` * I per message: the state of :func:`noise_input` has mean
@@ -186,11 +188,12 @@ def mean_square_curve(g, obj, c: float, noise_var: float, n_iter: int, x_star,
     a, f, b = noise_input(g, obj, c, mode)
     side = obj.rhs.size
     drive = noise_var * (b @ b.T)
+    x_star = np.tile(x_central, g.n_nodes)
     m, p = np.zeros(len(f)), np.zeros((len(f), len(f)))
     p[2 * side:, 2 * side:] = noise_var * np.eye(len(f) - 2 * side)
     out = np.empty(n_iter + 1)
     for k in range(n_iter + 1):
-        d = m[:side] - np.reshape(x_star, -1)
+        d = m[:side] - x_star
         out[k] = d @ d + np.trace(p[:side, :side])
         m = a @ m + f
         p = a @ p @ a.T + drive

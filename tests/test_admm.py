@@ -55,9 +55,10 @@ class TestReferencePoint:
         g, obj = small_setup(1)
         ref = reference_point(g, obj)
         am = build_arc_matrices(g)
-        grad = obj.gradient_stack(ref.x_star)
+        x_star = np.tile(ref.x_central, (g.n_nodes, 1))
+        grad = obj.gradient_stack(x_star)
         assert np.linalg.norm(grad + am.apply_mminus(ref.beta_star)) < 1e-8
-        assert np.linalg.norm(am.apply_mminus_t(ref.x_star)) == 0.0
+        assert np.linalg.norm(am.apply_mminus_t(x_star)) == 0.0
 
     def test_off_optimum_point_fails_stationarity(self, monkeypatch):
         # no dual solves M- beta = -grad f away from the centralized solution
@@ -71,14 +72,14 @@ class TestReferencePoint:
         """z* = 0.5 * Mplus.T x* is x_c on every arc, bit for bit, so the G-norm subtracts x_c."""
         g, obj = small_setup(2)
         ref = reference_point(g, obj)
-        z_star = 0.5 * build_arc_matrices(g).apply_mplus_t(ref.x_star)
+        z_star = 0.5 * build_arc_matrices(g).apply_mplus_t(np.tile(ref.x_central, (g.n_nodes, 1)))
         assert np.array_equal(z_star, np.broadcast_to(ref.x_central, z_star.shape))
 
     def test_noiseless_observations_recover_truth(self):
         g = gen_connected_graph(6, 0.5, seed=3)
         obj, true_x = make_problem(6, 3, 0.0, "gaussian", seed=4)
         ref = reference_point(g, obj)
-        assert np.allclose(ref.x_star, true_x, atol=1e-9)
+        assert np.allclose(ref.x_central, true_x, atol=1e-9)
 
     def test_beta_star_matches_dense_pseudoinverse(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -86,7 +87,7 @@ class TestReferencePoint:
         ref = reference_point(g, obj)
         am = build_arc_matrices(g)
         lifted = np.kron(am.m_minus, np.eye(1))
-        grad = obj.gradient_stack(ref.x_star).reshape(-1)
+        grad = obj.gradient_stack(np.tile(ref.x_central, (g.n_nodes, 1))).reshape(-1)
         expect = -np.linalg.pinv(lifted) @ grad
         assert np.allclose(ref.beta_star.reshape(-1), expect, atol=1e-10)
 
@@ -589,7 +590,7 @@ class TestConvergence:
         g, obj = small_setup(13)
         ref = reference_point(g, obj)
         traj = run_matrix_form(g, obj, 0.3, NoiseModel.none(), 300, RandomStream(seed=9))
-        assert np.max(np.abs(traj.xs[-1] - ref.x_star)) < 1e-10
+        assert np.max(np.abs(traj.xs[-1] - ref.x_central)) < 1e-10
         _, betas = arc_history(traj)
         assert np.max(np.abs(betas[-1] - ref.beta_star)) < 1e-10
 
@@ -669,7 +670,7 @@ class TestValidationAndRecording:
         ref = reference_point(g, obj)
         traj = run_decentralized(g, obj, 0.5, NoiseModel.none(), ANALYSIS_FAITHFUL,
                                  5, RandomStream(seed=14))
-        manual = [np.linalg.norm((traj.xs[k] - ref.x_star).reshape(-1))
+        manual = [np.linalg.norm((traj.xs[k] - ref.x_central).reshape(-1))
                   for k in range(6)]
         assert np.allclose(x_err_series(traj, ref), manual, atol=0)
 
@@ -679,9 +680,9 @@ class TestValidationAndRecording:
         rng = np.random.default_rng(dim)
         g = gen_connected_graph(12, 0.4, seed=dim)
         xs = rng.standard_normal((40, 12, dim)) * rng.choice([1e-9, 1.0, 1e6], (40, 12, dim))
-        x_star = np.tile(rng.standard_normal(dim), (12, 1))
+        x_central = rng.standard_normal(dim)
         traj = Trajectory(graph=g, c=0.5, xs=xs, noise=NoiseModel.none(),
                           stream=RandomStream(seed=0))
-        ref = ReferencePoint(x_star=x_star, beta_star=None, x_central=x_star[0])
-        d = xs - x_star
+        ref = ReferencePoint(beta_star=None, x_central=x_central)
+        d = xs - x_central
         assert np.array_equal(x_err_series(traj, ref), np.sqrt(np.sum(d * d, axis=(1, 2))))

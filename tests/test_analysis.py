@@ -331,8 +331,8 @@ class TestEdcMetric:
     def test_zero_at_consensus(self):
         g, obj, spec, c = certified_setup(8)
         ref = reference_point(g, obj)
-        traj = Trajectory(graph=g, c=c, xs=np.stack([ref.x_star] * 3), noise=NoiseModel.none(),
-                          stream=RandomStream(seed=10))
+        traj = Trajectory(graph=g, c=c, xs=np.tile(ref.x_central, (3, g.n_nodes, 1)),
+                          noise=NoiseModel.none(), stream=RandomStream(seed=10))
         assert np.allclose(edc_metric(traj, ref.x_central), 0.0, atol=1e-12)
 
     def test_direct_formula(self):
@@ -458,7 +458,7 @@ def test_distance_series_build_no_history_copy(series):
     d = xs - point
     if series == "x_err_series":
         fn = x_err_series
-        arg = ReferencePoint(x_star=np.tile(point, (20, 1)), beta_star=None, x_central=point)
+        arg = ReferencePoint(beta_star=None, x_central=point)
         whole = np.sqrt(np.sum(d * d, axis=(1, 2)))
     else:
         fn, arg = edc_metric, point

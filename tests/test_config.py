@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from ncadmm.config import (ConfigError, ExperimentConfig, default_config,
-                           full_config, load_config)
+from ncadmm.config import ConfigError, ExperimentConfig, full_config, load_config
 
 
 def write(tmp_path, doc):
@@ -14,7 +13,7 @@ def write(tmp_path, doc):
 
 class TestLoading:
     def test_defaults_are_valid(self):
-        default_config().validate()
+        ExperimentConfig().validate()
         full_config().validate()
 
     def test_full_profile_dimensions(self):
@@ -141,7 +140,7 @@ class TestValidation:
 
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self, tmp_path):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         doc = cfg.to_json_dict()
         again = ExperimentConfig.from_json_dict(doc)
         assert again == cfg
@@ -156,14 +155,14 @@ class TestRoundTrip:
 
 class TestSweepCells:
     def test_cell_order_is_c_major(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         cells = cfg.cells()
         assert cells[0] == (0.1, 1e-3)
         assert cells[1] == (0.1, 1e-2)
         assert len(cells) == len(cfg.admm.c) * len(cfg.noise.sigma_e)
 
     def test_noise_model_from_cell(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         m = cfg.noise_model(0.5)
         assert m.kind == "gaussian"
         assert m.sigma_e == 0.5

@@ -26,9 +26,7 @@ def unused_imports(path):
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"),
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     unused = [name for name in unused_imports(path) if (path.stem, name) not in ALLOWED]
     assert unused == []
@@ -88,9 +86,28 @@ def test_text_writes_pin_newline(path):
     assert unpinned_text_writes(path) == []
 
 
+ENVIRONMENT = ("environ", "getenv")
+
+
+def environment_reads(path):
+    """Lines that reach ``os.environ`` or ``os.getenv``, as an attribute or a from-import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                  or isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and any(alias.name in ENVIRONMENT for alias in node.names))
+
+
+def test_environment_reads_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os\nfrom os import environ\nfrom os import getenv as g\n"
+                     "from os import path\nos.environ.get('A')\nos.getenv('B')\n",
+                     encoding="utf-8", newline="")
+    assert environment_reads(probe) == [2, 3, 5, 6]
+
+
 def test_no_environment_reads():
     """Flags and config files are the only knobs: no module reads the environment."""
-    reads = sorted(f"{path.stem}:{node.lineno}" for path in SRC.glob("*.py")
-                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                   if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+    reads = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in environment_reads(path)]
     assert reads == []

@@ -20,7 +20,7 @@ from ncadmm.admm import (ANALYSIS_FAITHFUL, BROADCAST, reference_point, run_dece
 from ncadmm.analysis import optimize_delta, steady_state_check
 from ncadmm.config import ExperimentConfig, GraphConfig, ProblemConfig
 from ncadmm.experiment import trial_seeds
-from ncadmm.noise import NoiseModel, RandomStream
+from ncadmm.noise import NoiseModel, RandomStream, quantizer_error
 from ncadmm.objective import make_problem
 from ncadmm.topology import build_arc_matrices, gen_connected_graph, spectral_summary
 
@@ -200,6 +200,40 @@ def test_audit_workload_plateau_is_the_quantizer_point():
     assert xerr[1000] > 1.25 * plateau
 
 
+def test_broadcast_quantizer_ends_at_a_fixed_point_or_an_exact_cycle():
+    """Broadcast under the quantizer settles, or repeats x^K exactly with a period <= 64.
+
+    At a fixed point the dual update forces D x = Adj q(x), and the
+    x-update then gives gram_i x_i + alpha_i = rhs_i.  well_conditioned
+    problems (seed + 1), c = m_f / max(sigma_+^2, sigma_+), delta = 1e-3,
+    K = 5000.  Six instances settle with both residuals <= 3.6e-15 (three
+    of them also repeat, at amplitudes below the 1e-12 tolerance); N=50
+    seed 0 ends on an exact period-8 cycle whose residuals are 6.1e-4 and
+    1.4e-5.
+    """
+    ends = set()
+    for n_nodes, rho, seed in [(20, 0.3, 0), (20, 0.3, 1), (20, 0.3, 2), (20, 0.3, 3),
+                               (50, 0.1, 0), (50, 0.1, 1), (50, 0.1, 3)]:
+        g = gen_connected_graph(n_nodes, rho, seed)
+        obj, _ = make_problem(n_nodes, 3, 1e-3, "well_conditioned", seed + 1)
+        am = build_arc_matrices(g)
+        sp = spectral_summary(am).sigma_max_mplus
+        c = obj.m_f / max(sp**2, sp)
+        traj = run_decentralized(g, obj, c, NoiseModel.quantizer(1e-3), BROADCAST, 5000,
+                                 RandomStream(seed=0), record="light")
+        x = traj.xs[-1]
+        consensus = g.degrees[:, None] * x - am.neighbor_sum(x + quantizer_error(x, 1e-3))
+        alpha = derive_alphas(traj, BROADCAST)[-1]
+        primal = np.einsum("nij,nj->ni", obj.grams, x) + alpha - obj.rhs
+        if max(np.max(np.abs(consensus)), np.max(np.abs(primal))) <= 1e-12:
+            ends.add("fixed point")
+        elif any(np.array_equal(x, traj.xs[-1 - p]) for p in range(1, 65)):
+            ends.add("cycle")
+        else:
+            pytest.fail(f"N={n_nodes} seed {seed}: neither settled nor cycling by K=5000")
+    assert ends == {"fixed point", "cycle"}
+
+
 def steady_instance():
     """Criterion 6's shape: N=20, rho=0.3, seeds 300/7000, c = 2 m_f / max(sigma_+^2, sigma_+)."""
     g = gen_connected_graph(20, 0.3, seed=300)
@@ -230,7 +264,7 @@ def check_tail_at_floor(model, noise_var, sigma, mode=ANALYSIS_FAITHFUL):
         tail = x_err_series(traj, ref)[-9000:] ** 2
     else:
         walk = np.linalg.solve(obj.grams.sum(axis=0), derive_alphas(traj, mode).sum(axis=1).T)
-        dev = traj.xs[:-1] - ref.x_star + walk.T[:, None, :]
+        dev = traj.xs[:-1] - ref.x_central + walk.T[:, None, :]
         tail = np.sum(dev[-9000:] ** 2, axis=(1, 2))
     batches = tail.reshape(20, -1).mean(axis=1)
     half_width = 2.861 * batches.std(ddof=1) / np.sqrt(20)
@@ -288,7 +322,7 @@ def check_curve_against_monte_carlo(mode):
     g, obj, c = steady_instance()
     ref = reference_point(g, obj)
     sigma_e, n_iter, runs = 1e-2 / np.sqrt(60), 200, 200
-    exact = mean_square_curve(g, obj, c, sigma_e**2, n_iter, ref.x_star, mode)
+    exact = mean_square_curve(g, obj, c, sigma_e**2, n_iter, ref.x_central, mode)
     squares = np.stack([
         x_err_series(run_decentralized(g, obj, c, NoiseModel.gaussian(sigma_e), mode, n_iter,
                                        RandomStream(seed=0, trial=t), record="light"), ref) ** 2
