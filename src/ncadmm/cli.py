@@ -29,12 +29,12 @@ from .analysis import (audit_contraction, edc_metric, error_gates,
 from .analysis import derive_ez_block  # noqa: F401
 from .config import ConfigError, ExperimentConfig, full_config, load_config
 from .experiment import (emit_csv, emit_svg, preflight_reports, require_finite,
-                         run_experiment, trial_instance, write_table)
+                         run_experiment, trial_instance, write_lines, write_table)
 from .noise import RandomStream
 # not called here; ncbench/tracing.py wraps cli.make_problem by name
 from .objective import make_problem  # noqa: F401
 from .topology import (GraphConnectivityError, build_arc_matrices,
-                       gen_connected_graph, spectral_summary, write_edge_list)
+                       gen_connected_graph, spectral_summary)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,7 +151,8 @@ def _cell_run(cfg, cell_idx, g, obj):
 def _cmd_gen_graph(args) -> int:
     _check_out_paths(args.out)
     g = gen_connected_graph(args.nodes, args.rho, args.seed)
-    write_edge_list(g, args.out)
+    lines = [f"{g.n_nodes} {g.n_edges}"] + [f"{i} {j}" for i, j in g.edges.tolist()]
+    write_lines(args.out, lines)
     print(f"wrote {args.out}: {g.n_nodes} nodes, {g.n_edges} edges")
     return 0
 

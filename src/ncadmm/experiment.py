@@ -175,7 +175,7 @@ def format_sci_column(values) -> list[str]:
 def write_lines(path, lines) -> None:
     """Write ``lines`` as ASCII, LF-terminated, to ``path`` or, for None, to stdout.
 
-    Every CSV and SVG the package writes goes out through here.
+    Every CSV, SVG and edge list the package writes goes out through here.
     """
     text = "\n".join(lines) + "\n"
     if path is None:

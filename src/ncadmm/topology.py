@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -41,24 +40,13 @@ class GraphConnectivityError(RuntimeError):
     """Raised when rejection sampling fails to produce a connected graph."""
 
 
-def _index_pairs(edges) -> np.ndarray:
-    """A fresh (E, 2) intp copy of integer node pairs; the caller's array stays writeable."""
-    pairs = np.array(edges)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"edges must have shape (E, 2), got {pairs.shape}")
-    if pairs.dtype.kind not in "iu":
-        raise ValueError(f"edges must be integers, got dtype {pairs.dtype}")
-    return pairs.astype(np.intp, copy=False)
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected, connected, simple graph on nodes 0..n_nodes-1.
 
-    ``edges`` is held as a read-only (E, 2) intp array, copied from the
-    integer input, and must be canonical: each row (i, j) with i < j, rows
-    sorted lexicographically, no duplicates.  Use :meth:`from_edges` to
-    normalize arbitrary edge lists.
+    ``edges`` is held as a read-only (E, 2) intp copy of the integer input
+    and must be canonical: each row (i, j) with i < j, rows sorted
+    lexicographically, no duplicates.
     """
 
     n_nodes: int
@@ -67,7 +55,12 @@ class Graph:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
-        edges = _index_pairs(self.edges)
+        edges = np.array(self.edges)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must have shape (E, 2), got {edges.shape}")
+        if edges.dtype.kind not in "iu":
+            raise ValueError(f"edges must be integers, got dtype {edges.dtype}")
+        edges = edges.astype(np.intp, copy=False)
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         # report the first row out of range or not above the previous row;
@@ -84,14 +77,6 @@ class Graph:
             raise ValueError("edges must be sorted and unique")
         if not _is_connected(self.n_nodes, edges):
             raise ValueError("graph is not connected")
-
-    @classmethod
-    def from_edges(cls, n_nodes: int, edges) -> "Graph":
-        canon = np.unique(np.sort(_index_pairs(edges), axis=1), axis=0)
-        loops = canon[:, 0] == canon[:, 1]
-        if loops.any():
-            raise ValueError(f"self-loop at node {canon[loops.argmax(), 0]}")
-        return cls(n_nodes=n_nodes, edges=canon)
 
     @property
     def n_edges(self) -> int:
@@ -323,50 +308,19 @@ def build_arc_matrices(g: Graph) -> ArcMatrices:
 def spectral_summary(am: ArcMatrices) -> SpectralSummary:
     """Singular values via eigendecomposition of the 0.5*M*M.T Gram forms.
 
-    sigma = sqrt(2 * eigenvalue); the smallest nonzero singular value of
-    m_minus is the smallest sigma strictly above 1e-9 * sigma_max.  Gram
-    eigenvalues carry solver noise of order N * eps * lambda_max, which the
-    square root would inflate past that filter, so eigenvalues below the
-    noise floor are zeroed first.
+    sigma = sqrt(2 * eigenvalue).  Gram eigenvalues carry solver noise of
+    order N * eps * lambda_max, so the nonzero singular values of m_minus
+    come from the eigenvalues above that noise floor.
     """
     q_eig = np.linalg.eigvalsh(am.signless_laplacian)
     l_eig = np.linalg.eigvalsh(am.laplacian)
     noise_floor = am.n_nodes * np.finfo(float).eps * max(float(l_eig[-1]), 1.0)
-    l_eig = np.where(l_eig > noise_floor, l_eig, 0.0)
-    sigma_max_mplus = float(np.sqrt(2.0 * max(float(q_eig[-1]), 0.0)))
-    sigma_max_mminus = float(np.sqrt(2.0 * max(float(l_eig[-1]), 0.0)))
-    sigmas_minus = np.sqrt(2.0 * np.clip(l_eig, 0.0, None))
-    nz = sigmas_minus[sigmas_minus > 1e-9 * sigma_max_mminus]
+    nz = l_eig[l_eig > noise_floor]
     if nz.size == 0:
         raise ValueError("m_minus has no nonzero singular value (graph has no edges?)")
     return SpectralSummary(
-        sigma_max_mplus=sigma_max_mplus,
-        sigma_max_mminus=sigma_max_mminus,
-        sigma_min_nz_mminus=float(nz.min()),
+        sigma_max_mplus=float(np.sqrt(2.0 * q_eig[-1])),
+        sigma_max_mminus=float(np.sqrt(2.0 * nz[-1])),
+        sigma_min_nz_mminus=float(np.sqrt(2.0 * nz[0])),
         max_degree=int(am.degrees.max()),
     )
-
-
-def write_edge_list(g: Graph, path) -> None:
-    """Write the `N E` header plus one 0-based `i j` line per edge."""
-    lines = [f"{g.n_nodes} {g.n_edges}"]
-    lines += [f"{i} {j}" for i, j in g.edges.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
-
-
-def read_edge_list(path) -> Graph:
-    text = Path(path).read_text(encoding="ascii").split()
-    if len(text) < 2:
-        raise ValueError(f"{path}: missing header")
-    if not (text[0].isdigit() and text[1].isdigit()):
-        raise ValueError(f"{path}: header must be two nonnegative integers `N E`, "
-                         f"got {' '.join(text[:2])!r}")
-    n_nodes, n_edges = int(text[0]), int(text[1])
-    nums = text[2:]
-    if len(nums) != 2 * n_edges:
-        raise ValueError(f"{path}: expected {2 * n_edges} node indices, got {len(nums)}")
-    try:
-        edges = np.array(nums, dtype=np.intp).reshape(n_edges, 2)
-    except OverflowError:
-        raise ValueError(f"{path}: node index out of range") from None
-    return Graph.from_edges(n_nodes, edges)

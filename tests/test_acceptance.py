@@ -160,7 +160,7 @@ def test_criterion_4_contraction_certification():
 def test_criterion_5_theory_constants_reference_values():
     """Certificate constants on the 3-node path, frozen via an independent
     40-digit evaluation of the closed forms."""
-    s = spectral_summary(build_arc_matrices(Graph.from_edges(3, [(0, 1), (1, 2)])))
+    s = spectral_summary(build_arc_matrices(Graph(3, [(0, 1), (1, 2)])))
     r = theory_constants(s, m_f=1.0, M_f=1.0, c=0.1, mu=2.0)
     assert r.a == pytest.approx(23.75, rel=1e-12)
     assert r.b == pytest.approx(12.0, rel=1e-12)

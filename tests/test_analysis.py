@@ -28,7 +28,7 @@ P3_X_BOUND = 1.4285714285714285714
 
 
 def p3_summary():
-    return spectral_summary(build_arc_matrices(Graph.from_edges(3, [(0, 1), (1, 2)])))
+    return spectral_summary(build_arc_matrices(Graph(3, [(0, 1), (1, 2)])))
 
 
 def certified_setup(seed, n_nodes=12, rho=0.3):
@@ -298,7 +298,7 @@ class TestSteadyState:
         assert res.holds
 
     def test_bound_values_p3(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        g = Graph(3, [(0, 1), (1, 2)])
         obj, _ = make_problem(3, 2, 1e-3, "well_conditioned", seed=9)
         ref = reference_point(g, obj)
         traj = run_decentralized(g, obj, 0.2, NoiseModel.fixed_norm(0.01 / np.sqrt(3)),
@@ -336,7 +336,7 @@ class TestEdcMetric:
         assert np.allclose(edc_metric(traj, ref.x_central), 0.0, atol=1e-12)
 
     def test_direct_formula(self):
-        g = Graph.from_edges(2, [(0, 1)])
+        g = Graph(2, [(0, 1)])
         obj, _ = make_problem(2, 3, 1e-3, "well_conditioned", seed=11)
         traj = run_matrix_form(g, obj, 0.3, NoiseModel.none(), 1, RandomStream(seed=11))
         x_central = np.array([1.0, 0.0, 0.0])

@@ -15,7 +15,7 @@ from ncadmm.analysis import audit_contraction, optimize_delta, theory_constants
 from ncadmm.cli import main
 from ncadmm.config import full_config, load_config
 from ncadmm.objective import ObjectiveSet
-from ncadmm.topology import build_arc_matrices, read_edge_list, spectral_summary
+from ncadmm.topology import build_arc_matrices, gen_connected_graph, spectral_summary
 
 
 def small_config(tmp_path, **overrides):
@@ -109,8 +109,15 @@ class TestGenGraph:
         rc = main(["gen-graph", "--nodes", "12", "--rho", "0.3",
                    "--seed", "5", "--out", str(out)])
         assert rc == 0
-        g = read_edge_list(out)
-        assert g.n_nodes == 12
+        g = gen_connected_graph(12, 0.3, 5)
+        assert out.read_bytes() == "".join(
+            [f"12 {g.n_edges}\n"] + [f"{i} {j}\n" for i, j in g.edges.tolist()]).encode()
+
+    def test_header_format(self, tmp_path, capsys):
+        out = tmp_path / "k3.edges"
+        rc = main(["gen-graph", "--nodes", "3", "--rho", "1", "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == b"3 3\n0 1\n0 2\n1 2\n"
 
     def test_impossible_rho_fails(self, tmp_path, capsys):
         rc = main(["gen-graph", "--nodes", "10", "--rho", "0.01",

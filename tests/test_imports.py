@@ -54,36 +54,78 @@ def test_no_private_imports(path):
     assert private_imports(path) == []
 
 
+def writes_text(call):
+    """Whether a call is a text write: ``write_text``, or ``open`` in a text mode for writing."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name == "write_text":
+        return True
+    if name != "open":
+        return False
+    keywords = {kw.arg: kw.value for kw in call.keywords}
+    mode = call.args[1] if len(call.args) > 1 else keywords.get("mode")
+    return (isinstance(mode, ast.Constant) and "b" not in mode.value
+            and any(flag in mode.value for flag in "wax"))
+
+
+def text_writes(path):
+    """(enclosing function, call) for each text write in a module.
+
+    The function is named by its dotted path in the module, such as
+    ``ExperimentConfig.save``; a write at module level has the name "".
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and writes_text(child):
+                found.append((".".join(scope), child))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
 def unpinned_text_writes(path):
-    """Lines of text writes (``write_text``, ``open`` for writing) that leave ``newline`` unset.
+    """Lines of text writes that leave ``newline`` unset.
 
     Without ``newline=""`` a text write on a platform whose line separator
     is not LF turns every "\\n" into that separator.
     """
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = getattr(node.func, "attr", getattr(node.func, "id", None))
-        keywords = {kw.arg: kw.value for kw in node.keywords}
-        if name == "write_text":
-            writes = True
-        elif name == "open":
-            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
-            writes = (isinstance(mode, ast.Constant) and "b" not in mode.value
-                      and any(flag in mode.value for flag in "wax"))
-        else:
-            writes = False
-        if writes and "newline" not in keywords:
-            lines.append(node.lineno)
-    return lines
+    return [call.lineno for _, call in text_writes(path)
+            if "newline" not in {kw.arg for kw in call.keywords}]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_text_writes_pin_newline(path):
     """Every file the package writes ends its lines in LF on any platform."""
     assert unpinned_text_writes(path) == []
+
+
+def test_one_writer():
+    """Every output leaves through ``write_lines``; the config's JSON is the one other file."""
+    writers = {f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py"))
+               for scope, _ in text_writes(path)}
+    assert writers == {"experiment.write_lines", "config.ExperimentConfig.save"}
+
+
+def test_text_writes_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("open('a', 'w')\n"
+                     "class C:\n"
+                     "    def save(self, p):\n"
+                     "        p.write_text('x', newline='')\n"
+                     "        def inner():\n"
+                     "            open('b', mode='xt')\n"
+                     "def read():\n"
+                     "    open('c')\n"
+                     "    open('d', 'wb')\n",
+                     encoding="utf-8", newline="")
+    assert [(scope, call.lineno) for scope, call in text_writes(probe)] == [
+        ("", 1), ("C.save", 4), ("C.save.inner", 6)]
+    assert unpinned_text_writes(probe) == [1, 6]
 
 
 ENVIRONMENT = ("environ", "getenv")

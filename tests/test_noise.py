@@ -331,16 +331,16 @@ class TestDeriveEz:
     """The arc-space image of an error block, e_z = 0.5 * Mplus.T e_x (in ``analysis``)."""
 
     def test_zero_maps_to_zero(self):
-        am = build_arc_matrices(Graph.from_edges(2, [(0, 1)]))
+        am = build_arc_matrices(Graph(2, [(0, 1)]))
         assert np.array_equal(derive_ez_block(np.zeros((2, 1)), am), np.zeros((2, 1)))
 
     def test_single_edge_average(self):
-        am = build_arc_matrices(Graph.from_edges(2, [(0, 1)]))
+        am = build_arc_matrices(Graph(2, [(0, 1)]))
         e_z = derive_ez_block(np.array([[3.0], [5.0]]), am)
         assert e_z.tolist() == [[4.0], [4.0]]
 
     def test_rejects_bad_length(self):
-        am = build_arc_matrices(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        am = build_arc_matrices(Graph(3, [(0, 1), (1, 2)]))
         with pytest.raises(ValueError, match="node rows"):
             derive_ez_block(np.zeros((4, 1)), am)
 

@@ -5,8 +5,7 @@ from ncadmm import topology
 from ncadmm.noise import fold_key, polar_normals, uniforms
 from ncadmm.topology import (DEFAULT_MAX_RETRIES, Graph,
                              GraphConnectivityError, build_arc_matrices,
-                             gen_connected_graph, read_edge_list,
-                             spectral_summary, write_edge_list)
+                             gen_connected_graph, spectral_summary)
 
 
 def all_pairs_sampler(n_nodes, rho, seed):
@@ -70,11 +69,11 @@ def edge_array(edges):
 
 
 def path3():
-    return Graph.from_edges(3, [(0, 1), (1, 2)])
+    return Graph(3, [(0, 1), (1, 2)])
 
 
 def triangle():
-    return Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    return Graph(3, [(0, 1), (0, 2), (1, 2)])
 
 
 class TestGraph:
@@ -83,12 +82,12 @@ class TestGraph:
             Graph(n_nodes=1, edges=())
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            Graph.from_edges(3, [(0, 0), (0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"edge \(0, 0\) is not canonical"):
+            Graph(3, [(0, 0), (0, 1), (1, 2)])
 
     def test_rejects_disconnected(self):
-        with pytest.raises(ValueError, match="connected"):
-            Graph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="graph is not connected"):
+            Graph(4, [(0, 1), (2, 3)])
 
     @pytest.mark.parametrize("edges, message", [
         ([(1, 0), (1, 2)], r"edge \(1, 0\) is not canonical"),
@@ -105,10 +104,6 @@ class TestGraph:
         with pytest.raises(ValueError, match=message):
             Graph(n_nodes=3, edges=tuple(edges))
 
-    def test_from_edges_canonicalizes(self):
-        g = Graph.from_edges(3, [(2, 1), (1, 0), (0, 1)])
-        assert g.edges.tolist() == [[0, 1], [1, 2]]
-
     @pytest.mark.parametrize("edges", [
         ((0, 1.5), (1, 2)),
         np.array([[0.0, 1.0], [1.0, 2.0]]),
@@ -116,14 +111,8 @@ class TestGraph:
         np.array([[False, True], [True, True]]),
     ])
     def test_rejects_non_integer_edges(self, edges):
-        for build in (Graph, Graph.from_edges):
-            with pytest.raises(ValueError, match="edges must be integers, got dtype"):
-                build(3, edges)
-
-    @pytest.mark.parametrize("edges", [[], [0, 1, 1, 2], [(0, 1, 2)]])
-    def test_from_edges_rejects_lists_of_other_shapes(self, edges):
-        with pytest.raises(ValueError, match=r"edges must have shape \(E, 2\)"):
-            Graph.from_edges(3, edges)
+        with pytest.raises(ValueError, match="edges must be integers, got dtype"):
+            Graph(3, edges)
 
     def test_edges_are_a_read_only_intp_copy(self):
         for dtype in (np.intp, np.int32, np.uint16):
@@ -315,7 +304,7 @@ class TestArcMatrices:
         assert am.m_minus[:, q].tolist() == [1.0, -1.0, 0.0]
 
     def test_single_edge_mplus(self):
-        am = build_arc_matrices(Graph.from_edges(2, [(0, 1)]))
+        am = build_arc_matrices(Graph(2, [(0, 1)]))
         assert am.m_plus.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_gram_identities_exact(self):
@@ -344,9 +333,9 @@ class TestArcMatrices:
         # Degree-1 nodes (N=2, the star's leaves, the path's ends) make one-arc
         # groups at the boundaries of the tail-grouped index.  ``reduceat``
         # needs every node to have an arc, which a connected Graph guarantees.
-        for g in (Graph.from_edges(2, [(0, 1)]),
-                  Graph.from_edges(8, [(0, k) for k in range(1, 8)]),
-                  Graph.from_edges(6, [(k, k + 1) for k in range(5)]),
+        for g in (Graph(2, [(0, 1)]),
+                  Graph(8, [(0, k) for k in range(1, 8)]),
+                  Graph(6, [(k, k + 1) for k in range(5)]),
                   gen_connected_graph(20, rho=0.2, seed=6),
                   gen_connected_graph(15, rho=0.4, seed=2)):
             self.check_batched_operators(g)
@@ -451,38 +440,3 @@ class TestSpectralSummary:
         vals = [s.sigma_max_mplus, s.sigma_max_mminus, s.sigma_min_nz_mminus]
         assert all(np.isfinite(v) and v >= 0 for v in vals)
 
-
-class TestEdgeListSerialization:
-    def test_round_trip(self, tmp_path):
-        g = gen_connected_graph(12, rho=0.3, seed=4)
-        path = tmp_path / "g.edges"
-        write_edge_list(g, path)
-        assert np.array_equal(read_edge_list(path).edges, g.edges)
-
-    def test_header_format(self, tmp_path):
-        g = path3()
-        path = tmp_path / "p3.edges"
-        write_edge_list(g, path)
-        assert path.read_text() == "3 2\n0 1\n1 2\n"
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text("3 2\n0 1\n")
-        with pytest.raises(ValueError, match="expected"):
-            read_edge_list(path)
-
-    @pytest.mark.parametrize("text, message", [
-        ("3 2\n0 1\n1 99999999999999999999\n", "node index out of range"),
-        ("3 2\n0 1\n1 7\n", r"edge \(1, 7\) is not canonical"),
-        ("3 2\n0 1\n1 x\n", "invalid literal"),
-        ("3 0\n", "graph is not connected"),
-        ("3\n", "bad.edges: missing header"),
-        ("3 -1\n", r"bad.edges: header must be two nonnegative integers `N E`, got '3 -1'$"),
-        ("x 2\n0 1\n1 2\n",
-         r"bad.edges: header must be two nonnegative integers `N E`, got 'x 2'$"),
-    ])
-    def test_bad_indices_rejected(self, tmp_path, text, message):
-        path = tmp_path / "bad.edges"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=message):
-            read_edge_list(path)
